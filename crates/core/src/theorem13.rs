@@ -16,32 +16,32 @@
 //! precondition `d ≥ mad(G)` must have been violated and a diagnostic
 //! error is returned.
 
-use crate::extend::{extend_to_happy_set, EngineMode, ExtendError, UNCOLORED};
+use crate::extend::{extend_to_happy_set, ExtendError, UNCOLORED};
 use crate::happy::{classify, classify_engine, paper_radius, Classification};
 use crate::lists::ListAssignment;
-use engine::{CongestMode, EngineMetrics, FaultPlan, VertexOrder};
+use engine::{CongestMode, EngineConfig, EngineMetrics, EnginePool, FaultPlan, VertexOrder};
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{detect_clique, RoundLedger};
 use std::fmt;
 
 /// Runs one classification of `g[alive]` on the substrate `engine` selects:
-/// the sequential simulation, or a masked engine session (the rich/poor
-/// exchange plus the rich-ball flood as real message rounds), absorbing the
-/// session's metrics into the mode's accumulator.
+/// the sequential simulation, or a masked engine session cloned from the
+/// given config (the rich/poor exchange plus the rich-ball flood as real
+/// message rounds), absorbing the session's metrics into the accumulator.
 fn classify_on(
     g: &Graph,
     alive: &VertexSet,
     d: usize,
     radius: usize,
-    engine: Option<&mut EngineMode<'_>>,
+    engine: Option<(&EngineConfig, &mut EngineMetrics)>,
     ledger: &mut RoundLedger,
 ) -> Classification {
     match engine {
         None => classify(g, alive, d, radius, ledger),
-        Some(mode) => {
-            let (classification, metrics) =
-                classify_engine(g, alive, d, radius, mode.config(), ledger);
-            mode.metrics.absorb(metrics);
+        Some((config, metrics)) => {
+            let (classification, observed) =
+                classify_engine(g, alive, d, radius, config.clone(), ledger);
+            metrics.absorb(observed);
             classification
         }
     }
@@ -52,15 +52,15 @@ fn detect_clique_on(
     g: &Graph,
     alive: &VertexSet,
     d: usize,
-    engine: Option<&mut EngineMode<'_>>,
+    engine: Option<(&EngineConfig, &mut EngineMetrics)>,
     ledger: &mut RoundLedger,
 ) -> Option<Vec<VertexId>> {
     match engine {
         None => detect_clique(g, Some(alive), d, ledger),
-        Some(mode) => {
-            let (found, metrics) =
-                engine::engine_detect_clique(g, Some(alive), d, mode.config(), ledger);
-            mode.metrics.absorb(metrics);
+        Some((config, metrics)) => {
+            let (found, observed) =
+                engine::engine_detect_clique(g, Some(alive), d, config.clone(), ledger);
+            metrics.absorb(observed);
             found
         }
     }
@@ -106,6 +106,12 @@ pub struct SparseColoringConfig {
     /// layered greedy (see [`crate::extend_to_happy_set`]). Bit-identical
     /// colors, statistics, and ledger charges, executed as sharded message
     /// passing. `None` (default) stays sequential.
+    ///
+    /// Every internal session clones one [`engine::EngineConfig`] built from
+    /// this and the `engine_*` fields below, with one pipeline-owned worker
+    /// pool attached — so the pool, faults, CONGEST mode, frontier, and
+    /// order reach all of them, the `(d+1)`-coloring's per-forest
+    /// Cole–Vishkin sessions included.
     pub engine_shards: Option<usize>,
     /// CONGEST bandwidth treatment for every engine session of an
     /// engine-mode run ([`CongestMode::Unlimited`] by default). Under
@@ -116,11 +122,12 @@ pub struct SparseColoringConfig {
     /// [`SparseColoring::engine_metrics`]. Ignored in sequential mode.
     pub engine_congest: CongestMode,
     /// Fault plan injected into **every** engine session of an engine-mode
-    /// run — how the chaos suites perturb the full pipeline (seeded edge
-    /// loss, crash storms, adversarial reorder). Faults key on logical
-    /// messages, so a faulted run still replays bit-identically across
-    /// shard counts; what it computes may of course differ from the
-    /// fault-free run. Empty by default; ignored in sequential mode.
+    /// run, Cole–Vishkin forest sessions included — how the chaos suites
+    /// perturb the full pipeline (seeded edge loss, crash storms,
+    /// adversarial reorder). Faults key on logical messages, so a faulted
+    /// run still replays bit-identically across shard counts; what it
+    /// computes may of course differ from the fault-free run. Empty by
+    /// default; ignored in sequential mode.
     pub engine_faults: FaultPlan,
     /// Frontier-sparse rounds for every engine session of an engine-mode
     /// run (`true` by default). `false` forces the historical full-range
@@ -190,8 +197,10 @@ pub struct SparseColoring {
     pub stats: PeelStats,
     /// Observed engine metrics, summed across every internal session of an
     /// engine-mode run — classification gathers, clique detections, ruling
-    /// forests, per-level colorings, layered greedies. Empty (default) for
-    /// sequential runs, which route no messages.
+    /// forests, per-level colorings (Cole–Vishkin forest rounds and class
+    /// sweeps), layered greedies. Only the host-charged ledger phases
+    /// (`"forest-decomposition"`, `"root-ball-recolor"`) go unobserved.
+    /// Empty (default) for sequential runs, which route no messages.
     pub engine_metrics: EngineMetrics,
 }
 
@@ -335,41 +344,44 @@ pub fn list_color_sparse(
     let mut alive = VertexSet::full(n);
     let mut levels: Vec<Level> = Vec::new();
     let mut engine_metrics = EngineMetrics::default();
-    // One worker pool for the whole pipeline: every internal engine session
-    // across every peeling level and extension borrows these threads, so
-    // thread spawns are a constant per run instead of linear in the level
-    // count. Sized for the largest session — level scopes only shrink.
-    let engine_pool = config
-        .engine_shards
-        .map(|shards| engine::EnginePool::new(default_pool_workers(shards, n)));
-    // One `EngineMode` per engine-phase call, all draining into the same
-    // accumulator so the end-to-end run reports its real traffic.
-    macro_rules! engine_mode {
-        () => {
-            config.engine_shards.map(|shards| EngineMode {
-                shards,
-                congest: config.engine_congest,
-                faults: config.engine_faults.clone(),
-                frontier: config.engine_frontier,
-                order: config.engine_order,
-                pool: engine_pool.clone(),
-                metrics: &mut engine_metrics,
-            })
-        };
-    }
+    // The template every internal engine session clones, with one worker
+    // pool for the whole pipeline: every session across every peeling level
+    // and extension borrows these threads, so thread spawns are a constant
+    // per run instead of linear in the level count. Sized for the largest
+    // session — level scopes only shrink.
+    let engine_config = config.engine_shards.map(|shards| EngineConfig {
+        shards,
+        congest: config.engine_congest,
+        faults: config.engine_faults.clone(),
+        frontier: config.engine_frontier,
+        order: config.engine_order,
+        pool: Some(EnginePool::new(default_pool_workers(shards, n))),
+        ..Default::default()
+    });
 
     // Peeling phase.
     while !alive.is_empty() {
         let mut radius = initial_radius(config.radius, n);
         let classification = loop {
-            let c = classify_on(g, &alive, d, radius, engine_mode!().as_mut(), &mut ledger);
+            let c = classify_on(
+                g,
+                &alive,
+                d,
+                radius,
+                engine_config.as_ref().map(|c| (c, &mut engine_metrics)),
+                &mut ledger,
+            );
             if !c.happy.is_empty() {
                 break c;
             }
             // Stuck: the paper's promise — find the (d+1)-clique.
-            if let Some(clique) =
-                detect_clique_on(g, &alive, d, engine_mode!().as_mut(), &mut ledger)
-            {
+            if let Some(clique) = detect_clique_on(
+                g,
+                &alive,
+                d,
+                engine_config.as_ref().map(|c| (c, &mut engine_metrics)),
+                &mut ledger,
+            ) {
                 return Ok(Outcome::CliqueFound {
                     vertices: clique,
                     ledger,
@@ -408,7 +420,7 @@ pub fn list_color_sparse(
             &level.classification,
             &mut colors,
             &mut ledger,
-            engine_mode!(),
+            engine_config.as_ref().map(|c| (c, &mut engine_metrics)),
         )?;
     }
     debug_assert!(graphs::is_proper(g, &colors));
@@ -665,11 +677,24 @@ mod tests {
             let eng = eng.coloring().unwrap().clone();
             let m = &eng.engine_metrics;
             assert!(m.total_messages() > 0, "shards={shards}");
-            // Every engine-executed round is visible in the aggregate, and
-            // rounds the engine observed are exactly the rounds the ledger
-            // charged to message-passing phases.
             assert!(m.total_rounds() > 0, "shards={shards}");
             assert!(m.max_width() >= 1);
+            // Rounds the engine observed are exactly the rounds the ledger
+            // charged to message-passing phases. The host charges only two
+            // phases: Lemma 3.2's forest decomposition (an orientation
+            // computed from the masked adjacency) and its node-local
+            // root-ball recoloring. Every other ledger round, Cole–Vishkin
+            // forest rounds included, ran on the engine.
+            let host_charged: u64 = ["forest-decomposition", "root-ball-recolor"]
+                .iter()
+                .map(|phase| eng.ledger.phase_total(phase))
+                .sum();
+            assert!(host_charged > 0, "shards={shards}");
+            assert_eq!(
+                eng.ledger.total() - host_charged,
+                m.total_rounds(),
+                "shards={shards}: every message-passing round is observed"
+            );
             let fingerprint = (m.total_messages(), m.total_rounds(), m.message_counts());
             match &baseline {
                 None => baseline = Some(fingerprint),

@@ -7,6 +7,17 @@
 //! The counter is process-global, so this file holds a single `#[test]`:
 //! its deltas would race against any concurrently running session-spawning
 //! test in the same binary.
+//!
+//! The pipeline half expects `cpus.min(4) - 1` spawns per run, which is 0
+//! on a 1-core host — where a session that drops the shared pool and
+//! builds a private one also spawns 0 threads, so there this file cannot
+//! see a dropped pool. Two checks hold on any core count:
+//! `engine_mode_aggregates_session_metrics` in
+//! `crates/core/src/theorem13.rs` requires every message-passing ledger
+//! round of an engine-mode run to show up in `engine_metrics` (an internal
+//! session whose metrics are dropped fails it), and the CI lint job rejects
+//! `EngineConfig::default()` in non-test pipeline code (where a session
+//! built from scratch would drop the caller's pool).
 
 use distributed_coloring::{list_color_sparse, ListAssignment, SparseColoringConfig};
 use engine::{EngineConfig, EnginePool, EngineSession, NodeCtx, NodeProgram, Outbox, Stop};
