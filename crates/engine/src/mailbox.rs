@@ -891,13 +891,14 @@ mod tests {
         use crate::programs::gather::NbrList;
         let mut reasm = EdgeReassembly::default();
         let mut scratch = Vec::new();
-        let msg = NbrList(vec![3, 5, 8, 13, 21]);
+        let msg = NbrList([3, 5, 8, 13, 21].into());
         let (decoded, frames) = split_roundtrip(7, &msg, 2, &mut reasm, &mut scratch);
         assert_eq!(decoded.0, msg.0);
         assert_eq!(frames, 3, "5 words at 2 per frame");
         // The edge buffer and encode arena are reusable for the next message.
-        let (decoded, frames) = split_roundtrip(7, &NbrList(vec![1]), 2, &mut reasm, &mut scratch);
-        assert_eq!(decoded.0, vec![1]);
+        let (decoded, frames) =
+            split_roundtrip(7, &NbrList([1].into()), 2, &mut reasm, &mut scratch);
+        assert_eq!(*decoded.0, [1]);
         assert_eq!(frames, 1);
         assert!(!reasm.any_in_flight());
         assert!(scratch.capacity() >= 5, "arena capacity is retained");
@@ -914,8 +915,8 @@ mod tests {
             live: &[],
         };
         let mut inbox = vec![
-            (4usize, NbrList(vec![1, 2, 3, 4, 5])), // 3 frames at width 2
-            (1, NbrList(vec![9])),                  // within budget: whole
+            (4usize, NbrList([1, 2, 3, 4, 5].into())), // 3 frames at width 2
+            (1, NbrList([9].into())),                  // within budget: whole
         ];
         let tally = finalize_inbox(&mut inbox, &mut reasm, 0, &env, &mut Vec::new());
         assert_eq!(tally.fragments, 3);
@@ -923,8 +924,8 @@ mod tests {
         // Delivery order is the routing epoch's job now: finalize must
         // leave the placed order untouched.
         assert_eq!(inbox[0].0, 4);
-        assert_eq!(inbox[0].1 .0, vec![1, 2, 3, 4, 5]);
-        assert_eq!(inbox[1].1 .0, vec![9]);
+        assert_eq!(*inbox[0].1 .0, [1, 2, 3, 4, 5]);
+        assert_eq!(*inbox[1].1 .0, [9]);
     }
 
     #[test]

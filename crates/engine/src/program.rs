@@ -90,10 +90,18 @@ pub enum Outbox<M> {
     /// Nothing this round.
     Silent,
     /// The same message to every neighbor (the LOCAL-model default).
+    ///
+    /// The engine clones the message once per recipient, so its `Clone`
+    /// should be O(1): keep heap payloads in an `Arc<[T]>`, not a `Vec<T>`,
+    /// or every delivery pays an allocation and a copy.
     Broadcast(M),
     /// One message to one neighbor.
     Unicast(VertexId, M),
     /// Arbitrary per-neighbor messages.
+    ///
+    /// A payload sent to several neighbors is cloned once per entry, so the
+    /// same rule as for [`Outbox::Broadcast`] applies: `Clone` should be
+    /// O(1), with heap payloads in an `Arc<[T]>`.
     Multi(Vec<(VertexId, M)>),
 }
 

@@ -22,6 +22,8 @@
 //!   smallest apex's clique — exactly the sequential
 //!   [`local_model::detect_clique`] scan order.
 
+use std::sync::Arc;
+
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{clique_at_apex, merge_fresh, RoundLedger};
 
@@ -37,7 +39,7 @@ pub enum GatherMsg {
     /// "My residual degree is at most d" — the classification's first round.
     Rich,
     /// Newly-learned ball members (sorted), flooded one hop per round.
-    Ball(Vec<VertexId>),
+    Ball(Arc<[VertexId]>),
 }
 
 /// Wire sentinel for [`GatherMsg::Rich`] — distinguishable from any vertex
@@ -66,11 +68,11 @@ impl WireCodec for GatherMsg {
         match words {
             [] => None,
             [RICH_WORD] => Some(GatherMsg::Rich),
-            [EMPTY_BALL_WORD] => Some(GatherMsg::Ball(Vec::new())),
+            [EMPTY_BALL_WORD] => Some(GatherMsg::Ball(Arc::from([]))),
             _ => words
                 .iter()
                 .map(|&w| (w < EMPTY_BALL_WORD).then_some(w as VertexId))
-                .collect::<Option<Vec<_>>>()
+                .collect::<Option<Arc<[_]>>>()
                 .map(GatherMsg::Ball),
         }
     }
@@ -106,8 +108,8 @@ pub struct GatherProgram {
     /// Whether this node participates in the flood (always true in direct
     /// mode; decided by the degree threshold in rich-first mode).
     rich: bool,
-    /// Flood recipients: all live neighbors in direct mode, the rich ones
-    /// in rich-first mode (learned in the rich/poor round).
+    /// Rich-first mode's flood recipients, learned in the rich/poor round
+    /// (direct mode broadcasts to every live neighbor and leaves it empty).
     rich_nbrs: Vec<VertexId>,
     /// Ball members known so far (sorted) — `B^k` after `k` flood rounds,
     /// by [`merge_fresh`].
@@ -151,27 +153,27 @@ impl GatherProgram {
     /// Absorbs one round of flood traffic, returning the fresh members to
     /// forward.
     fn absorb(&mut self, inbox: &[(VertexId, GatherMsg)]) -> Vec<VertexId> {
-        let incoming: Vec<&[VertexId]> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                GatherMsg::Ball(members) => Some(members.as_slice()),
-                GatherMsg::Rich => None,
-            })
-            .collect();
-        merge_fresh(&mut self.known, &incoming)
+        let incoming = inbox.iter().filter_map(|(_, m)| match m {
+            GatherMsg::Ball(members) => Some(&members[..]),
+            GatherMsg::Rich => None,
+        });
+        merge_fresh(&mut self.known, incoming)
     }
 
-    /// Sends `fresh` to the flood recipients, if anything is left to say.
+    /// Sends `fresh` to the flood recipients, if anything is left to say:
+    /// every live neighbor in direct mode, the rich ones in rich-first mode.
     fn forward(&self, fresh: Vec<VertexId>) -> Outbox<GatherMsg> {
-        if fresh.is_empty() || self.rich_nbrs.is_empty() {
+        if fresh.is_empty() {
             return Outbox::Silent;
         }
-        Outbox::Multi(
-            self.rich_nbrs
-                .iter()
-                .map(|&w| (w, GatherMsg::Ball(fresh.clone())))
-                .collect(),
-        )
+        let ball = GatherMsg::Ball(fresh.into());
+        match self.mode {
+            GatherMode::Direct => Outbox::Broadcast(ball),
+            GatherMode::RichFirst { .. } if self.rich_nbrs.is_empty() => Outbox::Silent,
+            GatherMode::RichFirst { .. } => {
+                Outbox::Multi(self.rich_nbrs.iter().map(|&w| (w, ball.clone())).collect())
+            }
+        }
     }
 }
 
@@ -181,13 +183,12 @@ impl NodeProgram for GatherProgram {
     fn init(&mut self, ctx: &mut NodeCtx<'_>) -> Outbox<GatherMsg> {
         match self.mode {
             GatherMode::Direct => {
-                self.rich_nbrs = ctx.neighbors.to_vec();
                 self.known = vec![ctx.id];
                 if self.radius == 0 {
                     self.done = true;
                     Outbox::Silent
                 } else {
-                    Outbox::Broadcast(GatherMsg::Ball(vec![ctx.id]))
+                    Outbox::Broadcast(GatherMsg::Ball(Arc::from([ctx.id])))
                 }
             }
             GatherMode::RichFirst { d } => {
@@ -346,9 +347,10 @@ pub fn engine_classification_gather(
     (rich, balls, metrics)
 }
 
-/// Clique-handshake traffic: a node's live adjacency list.
+/// Clique-handshake traffic: a node's live adjacency list, shared by every
+/// recipient of the broadcast.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NbrList(pub Vec<VertexId>);
+pub struct NbrList(pub Arc<[VertexId]>);
 
 /// Wire sentinel for an empty adjacency list (an isolated node's
 /// handshake).
@@ -369,11 +371,11 @@ impl WireCodec for NbrList {
     fn decode(words: &[u64]) -> Option<Self> {
         match words {
             [] => None,
-            [EMPTY_LIST_WORD] => Some(NbrList(Vec::new())),
+            [EMPTY_LIST_WORD] => Some(NbrList(Arc::from([]))),
             _ => words
                 .iter()
                 .map(|&w| (w < EMPTY_LIST_WORD).then_some(w as VertexId))
-                .collect::<Option<Vec<_>>>()
+                .collect::<Option<Arc<[_]>>>()
                 .map(NbrList),
         }
     }
@@ -394,8 +396,8 @@ pub struct CliqueProgram {
     d: usize,
     /// Senders of round-one adjacency lists (sorted — inbox order).
     heard_from: Vec<VertexId>,
-    /// Their lists, aligned to `heard_from`.
-    lists: Vec<Vec<VertexId>>,
+    /// Their lists, aligned to `heard_from` (shared with the messages).
+    lists: Vec<Arc<[VertexId]>>,
     /// The clique this apex found (sorted, apex included), if any.
     found: Option<Vec<VertexId>>,
     done: bool,
@@ -421,7 +423,7 @@ impl CliqueProgram {
         self.heard_from
             .binary_search(&w)
             .ok()
-            .map(|i| self.lists[i].as_slice())
+            .map(|i| &self.lists[i][..])
     }
 }
 
@@ -438,12 +440,10 @@ impl NodeProgram for CliqueProgram {
         inbox: &[(VertexId, NbrList)],
     ) -> Outbox<NbrList> {
         match ctx.round {
-            1 => Outbox::Broadcast(NbrList(ctx.neighbors.to_vec())),
+            1 => Outbox::Broadcast(NbrList(ctx.neighbors.into())),
             2 => {
-                for (src, NbrList(list)) in inbox {
-                    self.heard_from.push(*src);
-                    self.lists.push(list.clone());
-                }
+                self.heard_from = inbox.iter().map(|&(src, _)| src).collect();
+                self.lists = inbox.iter().map(|(_, list)| Arc::clone(&list.0)).collect();
                 // A lost or faulted list degrades the neighbor to degree 0 —
                 // it simply cannot join a clique through this apex.
                 self.found = clique_at_apex(
@@ -532,18 +532,18 @@ mod tests {
     fn gather_codec_round_trips() {
         for msg in [
             GatherMsg::Rich,
-            GatherMsg::Ball(Vec::new()),
-            GatherMsg::Ball(vec![0]),
-            GatherMsg::Ball(vec![3, 17, 19, 523]),
+            GatherMsg::Ball(Arc::from([])),
+            GatherMsg::Ball(Arc::from([0])),
+            GatherMsg::Ball(Arc::from([3, 17, 19, 523])),
         ] {
             let words = msg.encode_to_vec();
             assert_eq!(words.len(), msg.width(), "{msg:?}");
             assert_eq!(GatherMsg::decode(&words), Some(msg));
         }
         for list in [
-            NbrList(Vec::new()),
-            NbrList(vec![7]),
-            NbrList(vec![1, 2, 3]),
+            NbrList(Arc::from([])),
+            NbrList(Arc::from([7])),
+            NbrList(Arc::from([1, 2, 3])),
         ] {
             let words = list.encode_to_vec();
             assert_eq!(words.len(), list.width());

@@ -49,8 +49,12 @@
 //! | [`RulingProgram`] | `RulingMsg::Tokens` | **fresh prefixes per level round** — up to the surviving ruler count of one bit level's group (claim/keep rounds are width 1) |
 //!
 //! The constant-width programs are CONGEST-safe at one word as they stand;
-//! the gather, clique, and ruling floods are the `Vec`-payload traffic that
-//! dominates Theorem 1.3 and the reason split mode exists.
+//! the gather, clique, and ruling floods are the variable-width traffic
+//! that dominates Theorem 1.3 and the reason split mode exists. Their
+//! payloads are shared `Arc<[T]>` slices, so fanning one message out to
+//! every neighbor costs a reference-count bump per recipient, not a heap
+//! copy (`tests/mailbox_arena.rs` bounds the allocations per delivered
+//! message).
 //!
 //! # Worst-case frontier sizes
 //!

@@ -26,6 +26,8 @@
 //! [`engine_ruling_forest`] is the adapter with the sequential signature:
 //! same [`RulingForest`], same ledger charges, at any shard count.
 
+use std::sync::Arc;
+
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{claim_choice, merge_fresh, ruling_beta, ruling_bits, RoundLedger, RulingForest};
 
@@ -42,8 +44,9 @@ pub enum RulingMsg {
     Tokens {
         /// The bit level these tokens belong to.
         bit: usize,
-        /// The fresh prefixes (sorted).
-        prefixes: Vec<usize>,
+        /// The fresh prefixes (sorted), shared by every recipient of the
+        /// broadcast.
+        prefixes: Arc<[usize]>,
     },
     /// "I belong to this root's tree" — the claiming BFS frontier.
     Claim {
@@ -108,7 +111,7 @@ impl WireCodec for RulingMsg {
                             && ((w >> BIT_SHIFT) & BIT_MASK) as usize == bit)
                             .then_some((w & PREFIX_MASK) as usize)
                     })
-                    .collect::<Option<Vec<_>>>()?;
+                    .collect::<Option<Arc<[_]>>>()?;
                 Some(RulingMsg::Tokens { bit, prefixes })
             }
             TAG_CLAIM if words.len() == 1 => Some(RulingMsg::Claim {
@@ -118,7 +121,7 @@ impl WireCodec for RulingMsg {
             TAG_EMPTY_TOKENS if words.len() == 1 && first & PREFIX_MASK == 0 => {
                 Some(RulingMsg::Tokens {
                     bit: ((first >> BIT_SHIFT) & BIT_MASK) as usize,
-                    prefixes: Vec::new(),
+                    prefixes: Arc::from([]),
                 })
             }
             _ => None,
@@ -195,14 +198,11 @@ impl RulingProgram {
         if k == 1 {
             self.seen.clear();
         }
-        let incoming: Vec<&[usize]> = inbox
-            .iter()
-            .filter_map(|(_, m)| match m {
-                RulingMsg::Tokens { bit, prefixes } if *bit == b => Some(prefixes.as_slice()),
-                _ => None,
-            })
-            .collect();
-        let mut fresh = merge_fresh(&mut self.seen, &incoming);
+        let incoming = inbox.iter().filter_map(|(_, m)| match m {
+            RulingMsg::Tokens { bit, prefixes } if *bit == b => Some(&prefixes[..]),
+            _ => None,
+        });
+        let mut fresh = merge_fresh(&mut self.seen, incoming);
         let prefix = ctx.id >> (b + 1);
         if self.ruler && (ctx.id >> b) & 1 == 1 && self.seen.binary_search(&prefix).is_ok() {
             // A kept ruler of this node's own group is within distance
@@ -212,7 +212,7 @@ impl RulingProgram {
         if k == 1 && self.ruler && (ctx.id >> b) & 1 == 0 {
             // Source injection: announce the group prefix (only useful when
             // a propagation round exists to deliver it).
-            merge_fresh(&mut self.seen, &[&[prefix]]);
+            merge_fresh(&mut self.seen, [&[prefix][..]]);
             fresh = vec![prefix];
         }
         let last_level_round = b + 1 == self.bits && k == self.alpha;
@@ -233,7 +233,7 @@ impl RulingProgram {
             // forwarding keeps it within the α − 1 budget.
             return Outbox::Broadcast(RulingMsg::Tokens {
                 bit: b,
-                prefixes: fresh,
+                prefixes: fresh.into(),
             });
         }
         Outbox::Silent
@@ -243,14 +243,11 @@ impl RulingProgram {
         if self.root_of != usize::MAX {
             return Outbox::Silent;
         }
-        let claims: Vec<(VertexId, VertexId)> = inbox
-            .iter()
-            .filter_map(|&(src, ref m)| match m {
-                RulingMsg::Claim { root } => Some((*root, src)),
-                _ => None,
-            })
-            .collect();
-        if let Some((root, parent)) = claim_choice(&claims) {
+        let claims = inbox.iter().filter_map(|&(src, ref m)| match m {
+            RulingMsg::Claim { root } => Some((*root, src)),
+            _ => None,
+        });
+        if let Some((root, parent)) = claim_choice(claims) {
             self.root_of = root;
             self.parent = parent;
             self.dist = k;
@@ -539,11 +536,11 @@ mod tests {
         for msg in [
             RulingMsg::Tokens {
                 bit: 0,
-                prefixes: Vec::new(),
+                prefixes: Arc::from([]),
             },
             RulingMsg::Tokens {
                 bit: 13,
-                prefixes: vec![0, 5, 1 << 20],
+                prefixes: Arc::from([0, 5, 1 << 20]),
             },
             RulingMsg::Claim { root: 9217 },
             RulingMsg::Keep,
@@ -555,12 +552,12 @@ mod tests {
         // Mixed-level token frames are malformed, not silently merged.
         let a = RulingMsg::Tokens {
             bit: 1,
-            prefixes: vec![4],
+            prefixes: Arc::from([4]),
         }
         .encode_to_vec();
         let b = RulingMsg::Tokens {
             bit: 2,
-            prefixes: vec![4],
+            prefixes: Arc::from([4]),
         }
         .encode_to_vec();
         assert_eq!(RulingMsg::decode(&[a[0], b[0]]), None);

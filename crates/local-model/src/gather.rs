@@ -22,9 +22,15 @@ use graphs::{Graph, VertexId, VertexSet};
 /// This is the shared step of every set-flooding protocol in the stack
 /// (radius-`r` ball gathers, the ruling construction's prefix tokens):
 /// iterating it `r` times from `known = {v}` yields exactly `B^r(v)`.
-pub fn merge_fresh<T: Ord + Copy>(known: &mut Vec<T>, incoming: &[&[T]]) -> Vec<T> {
+///
+/// `incoming` is any iterator over the batches, so callers can pass a
+/// filter over their inbox directly instead of collecting it per step.
+pub fn merge_fresh<'a, T: Ord + Copy + 'a>(
+    known: &mut Vec<T>,
+    incoming: impl IntoIterator<Item = &'a [T]>,
+) -> Vec<T> {
     let mut fresh: Vec<T> = incoming
-        .iter()
+        .into_iter()
         .flat_map(|batch| batch.iter().copied())
         .filter(|x| known.binary_search(x).is_err())
         .collect();
@@ -80,13 +86,12 @@ pub fn gather_balls(
     for _ in 0..radius {
         let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         for v in (0..n).filter(|&v| in_mask(v)) {
-            let incoming: Vec<&[VertexId]> = g
+            let incoming = g
                 .neighbors(v)
                 .iter()
                 .filter(|&&w| in_mask(w))
-                .map(|&w| announce[w].as_slice())
-                .collect();
-            next[v] = merge_fresh(&mut known[v], &incoming);
+                .map(|&w| announce[w].as_slice());
+            next[v] = merge_fresh(&mut known[v], incoming);
         }
         announce = next;
     }
@@ -254,10 +259,10 @@ mod tests {
     #[test]
     fn merge_fresh_keeps_known_sorted_and_returns_only_new() {
         let mut known = vec![2usize, 5, 9];
-        let fresh = merge_fresh(&mut known, &[&[1, 5, 7], &[7, 9, 11]]);
+        let fresh = merge_fresh(&mut known, [&[1, 5, 7][..], &[7, 9, 11]]);
         assert_eq!(fresh, vec![1, 7, 11]);
         assert_eq!(known, vec![1, 2, 5, 7, 9, 11]);
-        let none = merge_fresh(&mut known, &[&[2, 11]]);
+        let none = merge_fresh(&mut known, [&[2, 11][..]]);
         assert!(none.is_empty());
     }
 

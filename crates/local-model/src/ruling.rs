@@ -41,9 +41,12 @@ pub fn ruling_beta(n: usize, alpha: usize) -> usize {
 /// The deterministic claim choice of one vertex in one BFS round: among the
 /// `(root, claiming neighbor)` pairs heard this round, the smallest pair
 /// wins. Shared by the sequential claiming simulation and the engine's
-/// `RulingProgram`, so ties break identically on both substrates.
-pub fn claim_choice(claims: &[(VertexId, VertexId)]) -> Option<(VertexId, VertexId)> {
-    claims.iter().copied().min()
+/// `RulingProgram`, so ties break identically on both substrates. Takes
+/// any iterator of claims, so a caller can filter its inbox in place.
+pub fn claim_choice(
+    claims: impl IntoIterator<Item = (VertexId, VertexId)>,
+) -> Option<(VertexId, VertexId)> {
+    claims.into_iter().min()
 }
 
 /// Computes an `(alpha, alpha·⌈log₂ n⌉)`-ruling set of `subset` in
@@ -99,13 +102,12 @@ fn rule_level(g: &Graph, mask: Option<&VertexSet>, ruler: &mut [bool], b: usize,
     for k in 2..=alpha {
         let mut next: Vec<Vec<usize>> = vec![Vec::new(); n];
         for v in (0..n).filter(|&v| in_mask(v)) {
-            let incoming: Vec<&[usize]> = g
+            let incoming = g
                 .neighbors(v)
                 .iter()
                 .filter(|&&w| in_mask(w))
-                .map(|&w| announce[w].as_slice())
-                .collect();
-            let fresh = merge_fresh(&mut seen[v], &incoming);
+                .map(|&w| announce[w].as_slice());
+            let fresh = merge_fresh(&mut seen[v], incoming);
             // A token arriving in level round k has traveled k − 1 hops;
             // forward only while the next hop stays within distance α − 1.
             if k < alpha {
@@ -242,7 +244,7 @@ pub fn ruling_forest(
         }
         let mut next: Vec<VertexId> = Vec::new();
         for w in touched {
-            if let Some((root, p)) = claim_choice(&claims[w]) {
+            if let Some((root, p)) = claim_choice(claims[w].iter().copied()) {
                 dist[w] = d;
                 root_of[w] = root;
                 parent[w] = p;

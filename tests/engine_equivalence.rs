@@ -242,11 +242,11 @@ proptest! {
         let word = |i: usize| mix64(seed, i as u64);
         let ids: Vec<usize> = (0..len).map(|i| (word(i) % 1_000_000) as usize).collect();
         assert_codec(&GatherMsg::Rich);
-        assert_codec(&GatherMsg::Ball(ids.clone()));
-        assert_codec(&NbrList(ids.clone()));
+        assert_codec(&GatherMsg::Ball(ids.as_slice().into()));
+        assert_codec(&NbrList(ids.as_slice().into()));
         assert_codec(&RulingMsg::Tokens {
             bit: (word(len) % 60) as usize,
-            prefixes: ids.clone(),
+            prefixes: ids.as_slice().into(),
         });
         assert_codec(&RulingMsg::Claim { root: (word(1) % 1_000_000) as usize });
         assert_codec(&RulingMsg::Keep);

@@ -14,14 +14,25 @@
 //! orders of magnitude apart. Per-message allocations would show up ~10⁵
 //! times over; the assertion leaves slack only for per-round constants
 //! (metrics rows, phase bookkeeping).
+//!
+//! The guarantee also covers the **variable-width flood payloads** of the
+//! ruling, gather, and clique programs. A broadcast is cloned once per
+//! recipient, so those payloads are `Arc<[T]>` slices: one allocation per
+//! sender and a reference-count bump per delivered message. The flood
+//! tests below count every allocation of a whole run (session setup
+//! included) and bound it per delivered message, well under the one heap
+//! copy per delivery that a `Vec` payload costs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use engine::{
-    EngineConfig, EngineMessage, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
+    engine_detect_clique, engine_gather_balls, engine_ruling_forest, EngineConfig, EngineMessage,
+    EngineMetrics, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
 };
 use graphs::gen;
+use local_model::RoundLedger;
 
 /// Counts allocations (not bytes — growth doublings are amortized, a
 /// per-message `Vec` is not) while the gate is up.
@@ -59,6 +70,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads, so each measurement holds this lock from its first
+/// allocation (graph, session) to its last: no other test's work can land
+/// in its count.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with the allocation counter up; returns its result and the
+/// number of allocations it made.
+fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
+    let out = f();
+    COUNTING.store(false, Ordering::SeqCst);
+    (out, ALLOCS.load(Ordering::SeqCst))
+}
 
 /// Every node broadcasts its id every round: 2 messages per vertex per
 /// round on a cycle, all on the one-word (`usize`, `MAX_WIDTH = Some(1)`)
@@ -136,6 +167,7 @@ fn steady_state_allocs<P: NodeProgram + 'static>(
     rounds: u64,
     mk: impl Fn() -> P + Copy,
 ) -> usize {
+    let _serial = serial();
     let g = gen::cycle(n);
     // Split(4) keeps the CONGEST accounting on in both rows. For `Chatter`
     // (usize, `MAX_WIDTH = Some(1)`) the static bound fits the budget, so
@@ -144,11 +176,7 @@ fn steady_state_allocs<P: NodeProgram + 'static>(
     let config = EngineConfig::default().with_shards(1).congest_split(4);
     let mut session = EngineSession::new(&g, config, |_| mk());
     session.run_phase("warmup", Stop::Rounds(rounds));
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    session.run_phase("steady", Stop::Rounds(rounds));
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    count_allocs(|| session.run_phase("steady", Stop::Rounds(rounds))).1
 }
 
 #[test]
@@ -189,5 +217,54 @@ fn split_fragmentation_rounds_allocate_independently_of_message_count() {
         "split-path rounds must not allocate per fragmented message: \
          {small} allocs at n={small_n} vs {large} at n={large_n} \
          (allowed slack {slack})"
+    );
+}
+
+/// Allocations per delivered message over one whole flood run on a
+/// 60 × 60 triangular grid at one shard, session setup included.
+fn flood_allocs_per_message(run: impl FnOnce(&graphs::Graph) -> EngineMetrics) -> f64 {
+    let _serial = serial();
+    let g = gen::triangular(60, 60);
+    let (metrics, allocs) = count_allocs(|| run(&g));
+    assert!(metrics.total_messages() > 0, "the flood moved traffic");
+    allocs as f64 / metrics.total_messages() as f64
+}
+
+fn one_shard() -> EngineConfig {
+    EngineConfig::default().with_shards(1)
+}
+
+#[test]
+fn ruling_token_floods_share_their_payloads() {
+    let per_message = flood_allocs_per_message(|g| {
+        let every: Vec<usize> = (0..g.n()).collect();
+        engine_ruling_forest(g, None, &every, 6, one_shard(), &mut RoundLedger::new()).1
+    });
+    assert!(
+        per_message < 1.0,
+        "ruling forest: {per_message:.2} allocations per delivered message"
+    );
+}
+
+#[test]
+fn gather_ball_floods_share_their_payloads() {
+    let per_message = flood_allocs_per_message(|g| {
+        let centers: Vec<usize> = (0..g.n()).collect();
+        engine_gather_balls(g, None, &centers, 2, one_shard(), &mut RoundLedger::new()).1
+    });
+    assert!(
+        per_message < 1.5,
+        "ball gather: {per_message:.2} allocations per delivered message"
+    );
+}
+
+#[test]
+fn clique_handshake_shares_adjacency_lists() {
+    let per_message = flood_allocs_per_message(|g| {
+        engine_detect_clique(g, None, 6, one_shard(), &mut RoundLedger::new()).1
+    });
+    assert!(
+        per_message < 1.5,
+        "clique detection: {per_message:.2} allocations per delivered message"
     );
 }
