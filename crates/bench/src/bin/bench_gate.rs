@@ -31,8 +31,8 @@
 //!    scheduler noise on small CI machines; the crossover itself is asserted
 //!    by the committed artifact.
 //! 3. `route_ms ≤ max-route-frac × wall_ms` at engine/8 — the
-//!    worker-parallel routing epoch (arena drain + sender-rank counting
-//!    pass) must stay a bounded fraction of the round: if routing starts
+//!    worker-parallel routing epoch (arena drain + counting sort) must
+//!    stay a bounded fraction of the round: if routing starts
 //!    dominating wall time again, the second barrier phase has stopped
 //!    paying for itself. The default tightened from 0.60 to 0.40 when the
 //!    per-inbox comparison sort was replaced by the O(traffic) rank pass —
@@ -68,13 +68,6 @@
 //!    decaying-frontier workloads. Setting the flag over an artifact with
 //!    no twin rows is itself a violation: a gate that never fires is a
 //!    gate that quietly rotted.
-//! 7. With `--min-order-speedup=F` (off by default): every locality row
-//!    (`"locality": true`, emitted by `engine_table` for the twin-flagged
-//!    showdowns) must beat its identity twin — same algorithm, `n`, shard
-//!    count, split, and frontier setting — by at least `F×`. This is the
-//!    cache-locality gate for the million-node tiers, where the relabeled
-//!    layout's L3 behavior is the whole point; like the frontier floor, an
-//!    artifact with no locality rows while the flag is set is a violation.
 //!
 //! All shard-indexed lookups resolve to frontier-on rows; full-scan twins
 //! only ever feed budget 6. (The one exception is the `shards = 0` slot,
@@ -179,7 +172,6 @@ fn main() {
     let mut max_split_ratio = DEFAULT_MAX_SPLIT_RATIO;
     let mut min_shard_speedup: Option<f64> = None;
     let mut min_frontier_speedup: Option<f64> = None;
-    let mut min_order_speedup: Option<f64> = None;
     let mut expect_families: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         if let Some(v) = arg.strip_prefix("--suite=") {
@@ -198,8 +190,6 @@ fn main() {
             min_shard_speedup = Some(v.parse().expect("--min-shard-speedup takes a number"));
         } else if let Some(v) = arg.strip_prefix("--min-frontier-speedup=") {
             min_frontier_speedup = Some(v.parse().expect("--min-frontier-speedup takes a number"));
-        } else if let Some(v) = arg.strip_prefix("--min-order-speedup=") {
-            min_order_speedup = Some(v.parse().expect("--min-order-speedup takes a number"));
         } else {
             assert!(path.is_none(), "exactly one artifact path, got {arg:?} too");
             path = Some(arg);
@@ -224,7 +214,6 @@ fn main() {
     let mut rows = Vec::new();
     let mut violations = Vec::new();
     let mut frontier_twins = 0usize;
-    let mut order_twins = 0usize;
     for family in &expect_families {
         if !pairs.iter().any(|(_, f)| f == family) {
             violations.push(format!(
@@ -252,7 +241,6 @@ fn main() {
                     && r.shards == shards
                     && r.split == 0
                     && (r.frontier || r.shards == 0)
-                    && !r.locality
             })
         };
         let (Some(seq), Some(s1)) = (at(0), at(1)) else {
@@ -389,7 +377,6 @@ fn main() {
                     && r.n == n
                     && !r.frontier
                     && r.shards > 0
-                    && !r.locality
             })
             .collect();
         twin_rows.sort_by_key(|r| (r.shards, r.split));
@@ -401,7 +388,6 @@ fn main() {
                     && r.shards == twin.shards
                     && r.split == twin.split
                     && r.frontier
-                    && !r.locality
             });
             let Some(on) = on else {
                 verdict = "FAIL";
@@ -431,54 +417,6 @@ fn main() {
         } else {
             frontier_ratios.join("/")
         };
-        // The order budget: every locality row at this n diffs against the
-        // identity run at the same (shards, split, frontier) configuration.
-        let mut order_ratios: Vec<String> = Vec::new();
-        let mut order_rows: Vec<&EngineBenchRecord> = records
-            .iter()
-            .filter(|r| {
-                &r.algorithm == alg && &r.family == family && r.n == n && r.locality && r.shards > 0
-            })
-            .collect();
-        order_rows.sort_by_key(|r| (r.shards, r.split));
-        for local in order_rows {
-            let identity = records.iter().find(|r| {
-                &r.algorithm == alg
-                    && &r.family == family
-                    && r.n == n
-                    && r.shards == local.shards
-                    && r.split == local.split
-                    && r.frontier == local.frontier
-                    && !r.locality
-            });
-            let Some(identity) = identity else {
-                verdict = "FAIL";
-                violations.push(format!(
-                    "{alg}/{family} (n={n}): locality row at shards={} has no identity twin",
-                    local.shards
-                ));
-                continue;
-            };
-            order_twins += 1;
-            let speedup = identity.wall_ms / local.wall_ms.max(f64::EPSILON);
-            order_ratios.push(format!("{speedup:.2}"));
-            if let Some(min) = min_order_speedup {
-                if speedup < min {
-                    verdict = "FAIL";
-                    violations.push(format!(
-                        "{alg}/{family} (n={n}): locality order is only {speedup:.2}× the \
-                         identity run at shards={} ({:.3} ms vs {:.3} ms), floor {min:.2}× — \
-                         the cache-local relabeling is not earning its permutation",
-                        local.shards, local.wall_ms, identity.wall_ms
-                    ));
-                }
-            }
-        }
-        let order_cell = if order_ratios.is_empty() {
-            "-".to_string()
-        } else {
-            order_ratios.join("/")
-        };
         rows.push(vec![
             alg.clone(),
             family.clone(),
@@ -490,7 +428,6 @@ fn main() {
             route_cell,
             split_cell,
             frontier_cell,
-            order_cell,
             verdict.into(),
         ]);
     }
@@ -498,12 +435,6 @@ fn main() {
         violations.push(format!(
             "--min-frontier-speedup is set but {path} holds no full-scan twin rows — \
              engine_table stopped emitting them, so the budget can never fire"
-        ));
-    }
-    if min_order_speedup.is_some() && order_twins == 0 {
-        violations.push(format!(
-            "--min-order-speedup is set but {path} holds no locality rows — \
-             engine_table stopped emitting the order twins, so the budget can never fire"
         ));
     }
     print_table(
@@ -524,7 +455,6 @@ fn main() {
             "route/8",
             "split/unl",
             "front×",
-            "order×",
             "verdict",
         ],
         &rows,

@@ -36,11 +36,6 @@ struct LabGroup {
     /// artifact rows — matching them to frontier rows would misread the
     /// very overhead the twins exist to measure.
     frontier: bool,
-    /// Whether the group ran under the cache-local relabeling
-    /// (`"order": "locality"`). Order-twin groups only trend against
-    /// same-order artifact rows — an identity row is exactly the layout
-    /// the twin exists to beat, not its committed self.
-    locality: bool,
     best_ms: f64,
     p50_ms: f64,
     p95_ms: f64,
@@ -99,13 +94,6 @@ fn lab_groups(summary: &Value) -> Vec<LabGroup> {
                     None => true,
                     Some(v) => v.as_bool()?,
                 },
-                // Summaries written before the order axis existed could
-                // only have meant the identity layout.
-                locality: match g.get("order").and_then(Value::as_str) {
-                    None | Some("identity") => false,
-                    Some("locality") => true,
-                    Some(_) => return None,
-                },
                 best_ms: g.get("wall_ms_best")?.as_f64()?,
                 p50_ms: g.get("wall_ms_p50")?.as_f64()?,
                 p95_ms: g.get("wall_ms_p95")?.as_f64()?,
@@ -128,7 +116,6 @@ fn closest<'a>(
                 && r.shards == group.shards
                 && r.split == 0
                 && r.frontier == group.frontier
-                && r.locality == group.locality
         })
         .min_by_key(|r| (r.n.abs_diff(group.n), usize::MAX - r.n))
 }
@@ -171,21 +158,18 @@ fn render_trend(groups: &[LabGroup], artifact: &[EngineBenchRecord]) -> String {
             "scan".to_string()
         };
         // Committed routing evidence: the route fraction of the wall, with
-        // the protocol marker — `rank` rows were measured on the O(traffic)
-        // sender-rank counting pass, `sorted` rows predate it (per-inbox
-        // comparison sort), so a route-time delta across the marker is a
-        // protocol change, not a regression.
+        // the protocol marker — `rank` rows were routed without a per-inbox
+        // comparison sort, `sorted` rows predate that, so a route-time
+        // delta across the marker is a protocol change, not a regression.
         let route_cell = format!(
             "{:.2} {}",
             rec.route_ms / rec.wall_ms.max(f64::EPSILON),
             if rec.rank_routing { "rank" } else { "sorted" }
         );
-        let order_tag = if g.locality { ", local" } else { "" };
         out.push_str(&format!(
-            "| {} ({}{}) | {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | {} | {:.2} | {:.2} | {:+.1}% | {} | {} |\n",
+            "| {} ({}) | {} | {} | {:.2} | {:.2} | {:.2} | {:.2} | {} | {:.2} | {:.2} | {:+.1}% | {} | {} |\n",
             g.algorithm,
             g.family,
-            order_tag,
             g.shards,
             g.n,
             g.best_ms,
@@ -234,7 +218,6 @@ mod tests {
             fragments: 0,
             frontier: true,
             frontier_skipped: 0,
-            locality: false,
             rank_routing: false,
         }
     }
@@ -246,7 +229,6 @@ mod tests {
             n,
             shards,
             frontier: true,
-            locality: false,
             best_ms,
             p50_ms: best_ms,
             p95_ms: best_ms,
@@ -304,24 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn closest_pairs_order_twins_with_same_order_rows() {
-        let mut local_rec = rec("a", 1000, 1, 0.5);
-        local_rec.locality = true;
-        let records = vec![rec("a", 1000, 1, 1.0), local_rec];
-        let mut local_group = group("a", 1000, 1, 0.4);
-        local_group.locality = true;
-        assert_eq!(closest(&records, &local_group).unwrap().wall_ms, 0.5);
-        assert_eq!(
-            closest(&records, &group("a", 1000, 1, 2.0))
-                .unwrap()
-                .wall_ms,
-            1.0
-        );
-        let identity_only = vec![rec("a", 1000, 1, 1.0)];
-        assert!(closest(&identity_only, &local_group).is_none());
-    }
-
-    #[test]
     fn route_column_carries_frac_and_protocol_marker() {
         // 0.5 ms of a 4.0 ms wall, measured pre-rank → "0.12 sorted".
         let mut sorted_rec = rec("a", 2000, 1, 4.0);
@@ -368,25 +332,17 @@ mod tests {
                  "wall_ms_best": 1.0, "wall_ms_p50": 1.5, "wall_ms_p95": 2.0},
                 {"algorithm": "a", "congest": "unlimited", "family": "f",
                  "faults": "none", "frontier": false, "n": 10, "shards": 1,
-                 "wall_ms_best": 3.0, "wall_ms_p50": 3.5, "wall_ms_p95": 4.0},
-                {"algorithm": "a", "congest": "unlimited", "family": "f",
-                 "faults": "none", "n": 10, "order": "locality", "shards": 1,
-                 "wall_ms_best": 0.8, "wall_ms_p50": 0.9, "wall_ms_p95": 1.0}
+                 "wall_ms_best": 3.0, "wall_ms_p50": 3.5, "wall_ms_p95": 4.0}
             ]}"#,
         )
         .unwrap();
         let groups = lab_groups(&summary);
-        assert_eq!(groups.len(), 3, "split and faulty rows are dropped");
+        assert_eq!(groups.len(), 2, "split and faulty rows are dropped");
         assert_eq!(groups[0].p95_ms, 2.0);
         assert!(
             groups[0].frontier,
             "groups without the flag default to frontier on"
         );
         assert!(!groups[1].frontier, "full-scan groups keep their flag");
-        assert!(
-            !groups[0].locality,
-            "groups without the axis default to identity"
-        );
-        assert!(groups[2].locality, "order-twin groups keep their axis");
     }
 }

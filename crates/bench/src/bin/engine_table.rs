@@ -58,8 +58,8 @@ use distributed_coloring::{
 use engine::{
     engine_cole_vishkin_3color, engine_gather_balls, engine_h_partition,
     engine_randomized_list_coloring, engine_ruling_forest, Activation, CongestMode, EngineConfig,
-    EngineMessage, EngineMetrics, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, VertexOrder,
-    WireCodec, SPLIT_PHASE,
+    EngineMessage, EngineMetrics, EngineSession, NodeCtx, NodeProgram, Outbox, Stop, WireCodec,
+    SPLIT_PHASE,
 };
 use graphs::gen;
 use local_model::{
@@ -124,14 +124,11 @@ fn main() {
     for &n in &sizes {
         let twin = n == largest;
         if xl {
-            // Order twins run at every xl/xxl size — the locality-vs-identity
-            // comparison is exactly what the million-node tiers exist to
-            // measure (the 10⁶/10⁷ L3-crossover rows).
-            h_partition_showdown(n, reps, &mut records, true);
+            h_partition_showdown(n, reps, &mut records);
             // The streaming-CSR planar tier: apollonian triangulations are
             // 3-degenerate, so the peel runs with a = 3.
-            h_partition_family(n, reps, &mut records, "apollonian", 7, 3, true);
-            cole_vishkin_showdown(n, reps, &mut records, true);
+            h_partition_family(n, reps, &mut records, "apollonian", 7, 3);
+            cole_vishkin_showdown(n, reps, &mut records);
             if twin {
                 // The gate's frontier pair: ruling is the tier's only
                 // decaying-frontier workload, so only it gets the reduced
@@ -141,8 +138,8 @@ fn main() {
             continue;
         }
         randomized_showdown(n, reps, &mut records);
-        h_partition_showdown(n, reps, &mut records, twin);
-        cole_vishkin_showdown(n, reps, &mut records, twin);
+        h_partition_showdown(n, reps, &mut records);
+        cole_vishkin_showdown(n, reps, &mut records);
         gather_showdown(n, reps, &mut records);
         ruling_rows(n, reps, &mut records, &configurations(), twin);
         theorem13_showdown(n, reps, &mut records, twin);
@@ -202,7 +199,7 @@ const COLUMNS: [&str; 8] = [
 ];
 
 fn row(records: &mut Vec<EngineBenchRecord>, rec: EngineBenchRecord) -> Vec<String> {
-    let mut label = match (rec.shards, rec.split, rec.frontier) {
+    let label = match (rec.shards, rec.split, rec.frontier) {
         // The quiescent microbench parks its full-scan engine baseline in
         // the sequential slot; every true sequential row has frontier=true.
         (0, _, false) => "full-scan".into(),
@@ -212,9 +209,6 @@ fn row(records: &mut Vec<EngineBenchRecord>, rec: EngineBenchRecord) -> Vec<Stri
         (s, w, true) => format!("engine/{s} split{w}"),
         (s, w, false) => format!("engine/{s} split{w} full-scan"),
     };
-    if rec.locality {
-        label.push_str(" local");
-    }
     let cells = vec![
         label,
         format!("{}", rec.rounds),
@@ -253,7 +247,6 @@ fn seq_record(
         fragments: 0,
         frontier: true,
         frontier_skipped: 0,
-        locality: false,
         rank_routing: false,
     }
 }
@@ -284,9 +277,8 @@ fn engine_record(
         fragments: metrics.total_fragments(),
         frontier: true,
         frontier_skipped: metrics.total_frontier_skipped(),
-        locality: false,
-        // Every engine row in this artifact version was measured on the
-        // sender-rank counting pass; legacy rows parse to `false`.
+        // Every engine row in this artifact version was routed without a
+        // per-inbox comparison sort; legacy rows parse to `false`.
         rank_routing: true,
     }
 }
@@ -359,8 +351,8 @@ fn randomized_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecor
     );
 }
 
-fn h_partition_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord>, twin: bool) {
-    h_partition_family(n, reps, records, "forest-union-a2", 11, 2, twin);
+fn h_partition_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord>) {
+    h_partition_family(n, reps, records, "forest-union-a2", 11, 2);
 }
 
 /// The H-partition showdown on one registry family: `a` is the arboricity
@@ -368,9 +360,6 @@ fn h_partition_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchReco
 /// triangulations — apollonian graphs are 3-degenerate), `eps = 1.0`
 /// either way. The xl tier runs this on both families, so the gate judges
 /// the streaming-CSR generators' graphs, not just the forest union's.
-/// With `twin` set, the largest-shard configuration reruns under
-/// `VertexOrder::Locality` — the cache-local relabeling's identity-twin
-/// pair that `bench_gate --min-order-speedup` judges.
 fn h_partition_family(
     n: usize,
     reps: usize,
@@ -378,7 +367,6 @@ fn h_partition_family(
     family: &str,
     seed: u64,
     a: usize,
-    twin: bool,
 ) {
     let g = build(family, n, seed);
     let mut rows = Vec::new();
@@ -411,27 +399,6 @@ fn h_partition_family(
             engine_record(family, "h-partition", g.n(), shards, 0, &metrics, wall),
         ));
     }
-    if twin {
-        let shards = *SHARD_SWEEP.last().unwrap();
-        let ((_hp, metrics), wall) = best_of(reps, || {
-            let mut ledger = RoundLedger::new();
-            let run = engine_h_partition(
-                &g,
-                None,
-                a,
-                1.0,
-                EngineConfig::default()
-                    .with_shards(shards)
-                    .with_order(VertexOrder::Locality),
-                &mut ledger,
-            );
-            assert_eq!(run.0.layer, seq.layer, "relabeled run must replay the peel");
-            run
-        });
-        let mut rec = engine_record(family, "h-partition", g.n(), shards, 0, &metrics, wall);
-        rec.locality = true;
-        rows.push(row(records, rec));
-    }
     print_table(
         &format!("Barenboim–Elkin H-partition, {family}, n = {}", g.n()),
         &COLUMNS,
@@ -439,7 +406,7 @@ fn h_partition_family(
     );
 }
 
-fn cole_vishkin_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord>, twin: bool) {
+fn cole_vishkin_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord>) {
     let family = "random-tree";
     let g = build(family, n, 13);
     let f = RootedForest::new(graphs::bfs_parents(&g, 0, None));
@@ -469,24 +436,6 @@ fn cole_vishkin_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRec
             records,
             engine_record(family, "cole-vishkin", g.n(), shards, 0, &metrics, wall),
         ));
-    }
-    if twin {
-        let shards = *SHARD_SWEEP.last().unwrap();
-        let ((_colors, metrics), wall) = best_of(reps, || {
-            let mut ledger = RoundLedger::new();
-            let run = engine_cole_vishkin_3color(
-                &f,
-                EngineConfig::default()
-                    .with_shards(shards)
-                    .with_order(VertexOrder::Locality),
-                &mut ledger,
-            );
-            assert_eq!(run.0, seq, "relabeled run must replay the colors");
-            run
-        });
-        let mut rec = engine_record(family, "cole-vishkin", g.n(), shards, 0, &metrics, wall);
-        rec.locality = true;
-        rows.push(row(records, rec));
     }
     print_table(
         &format!("Cole–Vishkin 3-coloring, {family}, n = {}", g.n()),
@@ -576,20 +525,12 @@ fn ruling_rows(
         seq_record(family, "ruling", g.n(), seq_rounds, wall),
     ));
     let twin_shards = configs.iter().map(|&(s, _)| s).max().unwrap_or(1);
-    let mut measured: Vec<(usize, usize, bool, bool)> =
-        configs.iter().map(|&(s, w)| (s, w, true, false)).collect();
+    let mut measured: Vec<(usize, usize, bool)> =
+        configs.iter().map(|&(s, w)| (s, w, true)).collect();
     if twin {
-        measured.push((twin_shards, 0, false, false));
-        // The order twin: the same largest-shard configuration relabeled
-        // cache-local, for `bench_gate --min-order-speedup`.
-        measured.push((twin_shards, 0, true, true));
+        measured.push((twin_shards, 0, false));
     }
-    for (shards, split, frontier, locality) in measured {
-        let order = if locality {
-            VertexOrder::Locality
-        } else {
-            VertexOrder::Identity
-        };
+    for (shards, split, frontier) in measured {
         let ((rf, metrics), wall) = best_of(reps, || {
             let mut ledger = RoundLedger::new();
             engine_ruling_forest(
@@ -597,9 +538,7 @@ fn ruling_rows(
                 None,
                 &subset,
                 alpha,
-                engine_config(shards, split)
-                    .with_frontier(frontier)
-                    .with_order(order),
+                engine_config(shards, split).with_frontier(frontier),
                 &mut ledger,
             )
         });
@@ -608,7 +547,6 @@ fn ruling_rows(
         assert_eq!(rf.parent, seq.parent, "engine must replay the forest");
         let mut rec = engine_record(family, "ruling", g.n(), shards, split, &metrics, wall);
         rec.frontier = frontier;
-        rec.locality = locality;
         rows.push(row(records, rec));
     }
     print_table(
@@ -670,7 +608,6 @@ fn theorem13_showdown(n: usize, reps: usize, records: &mut Vec<EngineBenchRecord
             fragments: m.total_fragments(),
             frontier,
             frontier_skipped: m.total_frontier_skipped(),
-            locality: false,
             rank_routing: true,
         }
     };
@@ -861,12 +798,7 @@ fn print_crossover(records: &[EngineBenchRecord]) {
     keys.dedup();
     let find = |alg: &str, n: usize, shards: usize| {
         records.iter().find(|r| {
-            r.algorithm == alg
-                && r.n == n
-                && r.shards == shards
-                && r.split == 0
-                && r.frontier
-                && !r.locality
+            r.algorithm == alg && r.n == n && r.shards == shards && r.split == 0 && r.frontier
         })
     };
     let mut rows = Vec::new();
@@ -879,12 +811,7 @@ fn print_crossover(records: &[EngineBenchRecord]) {
         let best = records
             .iter()
             .filter(|r| {
-                r.algorithm == alg
-                    && r.n == n
-                    && r.shards > 0
-                    && r.split == 0
-                    && r.frontier
-                    && !r.locality
+                r.algorithm == alg && r.n == n && r.shards > 0 && r.split == 0 && r.frontier
             })
             .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
             .expect("s1 exists");

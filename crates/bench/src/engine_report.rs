@@ -59,16 +59,12 @@ pub struct EngineBenchRecord {
     /// scans, and legacy artifacts; `bench_trend` reports it next to
     /// `active_frac` so the skip volume behind the density is visible.
     pub frontier_skipped: usize,
-    /// Whether the run used the cache-local vertex relabeling
-    /// (`VertexOrder::Locality`). `false` marks identity-order rows —
-    /// sequential baselines, legacy artifacts, and the identity twins that
-    /// `bench_gate --min-order-speedup` judges locality rows against.
-    pub locality: bool,
-    /// Whether the routing epoch ordered inboxes with the O(traffic)
-    /// sender-rank counting pass. `false` marks rows measured before the
-    /// rank pass existed (per-inbox comparison sort) and sequential
-    /// baselines; `bench_trend` renders the marker (`rank` vs `sorted`) so
-    /// route-time comparisons across the protocol change stay honest.
+    /// Whether the routing epoch delivered inboxes in sender order without
+    /// a per-inbox comparison sort (first by a sender-rank counting pass,
+    /// now by ascending stepping). `false` marks rows measured before
+    /// (per-inbox comparison sort) and sequential baselines; `bench_trend`
+    /// renders the marker (`rank` vs `sorted`) so route-time comparisons
+    /// across the protocol change stay honest.
     pub rank_routing: bool,
 }
 
@@ -105,15 +101,8 @@ impl EngineBenchRecord {
         } else {
             format!("\"frontier_skipped\":{},", self.frontier_skipped)
         };
-        // Identity order is the default and what every legacy row meant —
-        // only locality twins carry the key.
-        let locality = if self.locality {
-            String::from("\"locality\":true,")
-        } else {
-            String::new()
-        };
         // Legacy rows (comparison-sorted routing) and sequential baselines
-        // omit the key; rank-routed rows carry it so cross-protocol route
+        // omit the key; sort-free rows carry it so cross-protocol route
         // comparisons are labeled.
         let rank = if self.rank_routing {
             String::from("\"rank_routing\":true,")
@@ -122,7 +111,7 @@ impl EngineBenchRecord {
         };
         format!(
             concat!(
-                "{{{}\"algorithm\":{},\"family\":{},\"fragments\":{},{}{}{}\"messages\":{},",
+                "{{{}\"algorithm\":{},\"family\":{},\"fragments\":{},{}{}\"messages\":{},",
                 "\"n\":{},{}\"physical_rounds\":{},{}\"rounds\":{},",
                 "\"route_ms\":{:.4},\"shards\":{},\"split\":{},\"wall_ms\":{:.4}}}"
             ),
@@ -132,7 +121,6 @@ impl EngineBenchRecord {
             self.fragments,
             frontier,
             skipped,
-            locality,
             self.messages,
             self.n,
             p50,
@@ -197,7 +185,6 @@ pub fn parse_engine_bench_json(json: &str) -> Result<Vec<EngineBenchRecord>, Str
             fragments: 0,
             frontier: true,
             frontier_skipped: 0,
-            locality: false,
             rank_routing: false,
         };
         let mut saw_physical = false;
@@ -235,7 +222,6 @@ pub fn parse_engine_bench_json(json: &str) -> Result<Vec<EngineBenchRecord>, Str
                     rec.frontier_skipped =
                         value.parse().map_err(|_| fail("bad frontier_skipped"))?
                 }
-                "locality" => rec.locality = value.parse().map_err(|_| fail("bad locality"))?,
                 "rank_routing" => {
                     rec.rank_routing = value.parse().map_err(|_| fail("bad rank_routing"))?
                 }
@@ -342,29 +328,25 @@ mod tests {
             fragments: 0,
             frontier: true,
             frontier_skipped: 0,
-            locality: false,
             rank_routing: false,
         }
     }
 
     #[test]
-    fn locality_and_rank_defaults_omitted_and_set_round_trip() {
+    fn rank_default_omitted_and_set_round_trip() {
         let legacy = record();
         let json = render_engine_bench_json(std::slice::from_ref(&legacy));
-        assert!(!json.contains("locality"), "default false omitted: {json}");
         assert!(
             !json.contains("rank_routing"),
             "default false omitted: {json}"
         );
         assert_eq!(parse_engine_bench_json(&json).unwrap(), vec![legacy]);
 
-        let mut twin = record();
-        twin.locality = true;
-        twin.rank_routing = true;
-        let json = render_engine_bench_json(&[twin.clone()]);
-        assert!(json.contains("\"locality\":true"), "{json}");
+        let mut sort_free = record();
+        sort_free.rank_routing = true;
+        let json = render_engine_bench_json(&[sort_free.clone()]);
         assert!(json.contains("\"rank_routing\":true"), "{json}");
-        assert_eq!(parse_engine_bench_json(&json).unwrap(), vec![twin]);
+        assert_eq!(parse_engine_bench_json(&json).unwrap(), vec![sort_free]);
     }
 
     #[test]

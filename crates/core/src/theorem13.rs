@@ -19,7 +19,7 @@
 use crate::extend::{extend_to_happy_set, ExtendError, UNCOLORED};
 use crate::happy::{classify, classify_engine, paper_radius, Classification};
 use crate::lists::ListAssignment;
-use engine::{CongestMode, EngineConfig, EngineMetrics, EnginePool, FaultPlan, VertexOrder};
+use engine::{CongestMode, EngineConfig, EngineMetrics, EnginePool, FaultPlan};
 use graphs::{Graph, VertexId, VertexSet};
 use local_model::{detect_clique, RoundLedger};
 use std::fmt;
@@ -109,8 +109,8 @@ pub struct SparseColoringConfig {
     ///
     /// Every internal session clones one [`engine::EngineConfig`] built from
     /// this and the `engine_*` fields below, with one pipeline-owned worker
-    /// pool attached — so the pool, faults, CONGEST mode, frontier, and
-    /// order reach all of them, the `(d+1)`-coloring's per-forest
+    /// pool attached — so the pool, faults, CONGEST mode, and frontier
+    /// reach all of them, the `(d+1)`-coloring's per-forest
     /// Cole–Vishkin sessions included.
     pub engine_shards: Option<usize>,
     /// CONGEST bandwidth treatment for every engine session of an
@@ -135,12 +135,6 @@ pub struct SparseColoringConfig {
     /// measure. Outputs, ledger charges, and statistics are bit-identical
     /// either way; ignored in sequential mode.
     pub engine_frontier: bool,
-    /// Vertex-storage order for every engine session of an engine-mode run
-    /// ([`VertexOrder::Identity`] by default). [`VertexOrder::Locality`]
-    /// relabels each session's shard-local layout along the seeded
-    /// bandwidth-minimizing order; outputs, ledger charges, and statistics
-    /// are bit-identical either way. Ignored in sequential mode.
-    pub engine_order: VertexOrder,
 }
 
 impl Default for SparseColoringConfig {
@@ -152,7 +146,6 @@ impl Default for SparseColoringConfig {
             engine_congest: CongestMode::default(),
             engine_faults: FaultPlan::default(),
             engine_frontier: true,
-            engine_order: VertexOrder::Identity,
         }
     }
 }
@@ -354,7 +347,6 @@ pub fn list_color_sparse(
         congest: config.engine_congest,
         faults: config.engine_faults.clone(),
         frontier: config.engine_frontier,
-        order: config.engine_order,
         pool: Some(EnginePool::new(default_pool_workers(shards, n))),
         ..Default::default()
     });

@@ -21,9 +21,9 @@
 //! 2. **Route** — after the driver tallies counters and (re)schedules
 //!    fault-delayed batches, every worker counting-sorts its own bucket of
 //!    every arena into its group's contiguous inbox segment (spans per
-//!    vertex, no per-message allocation) and puts each span into the
-//!    deterministic sender order with a second counting pass on
-//!    precomputed sender ranks — no comparison sort anywhere in the epoch;
+//!    vertex, no per-message allocation); fresh traffic lands already in
+//!    the deterministic sender order because the compute epoch steps in
+//!    ascending order, and only spans hit by delayed traffic are sorted;
 //!    the buffers then flip. Routing no longer serializes on
 //!    the driver thread — its wall time is recorded per round
 //!    ([`RoundMetrics::route_wall`]), measured from the moment the compute
@@ -35,10 +35,7 @@
 //! streams depend on `(seed, original id)` alone, and fault plans are keyed
 //! by `(round, original node)` — so colorings, round counts, and per-round
 //! message counts are bit-identical across shard counts, worker counts, and
-//! thread schedules, masked or not. The same original-id keying makes the
-//! internal vertex layout a free variable: [`EngineConfig::with_order`]
-//! relabels the dense index space into a cache-local order
-//! ([`VertexOrder::Locality`]) without perturbing a single observable.
+//! thread schedules, masked or not.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -54,7 +51,7 @@ use crate::metrics::{EngineMetrics, RoundMetrics};
 use crate::pool::{stage_outbox, EnginePool, RouteEnv, StageEnv, WorkerPool};
 use crate::program::{Activation, NodeProgram};
 use crate::shard::ShardPlan;
-use crate::view::{GraphView, SenderRanks, VertexOrder};
+use crate::view::GraphView;
 
 /// Resolves an [`Activation`] hint read after `round` into the wake-queue
 /// key: the first round at which the node must be stepped even without
@@ -160,11 +157,6 @@ pub struct EngineConfig {
     /// instead of spawning its own — see [`EnginePool`]. When set, the pool
     /// supersedes `workers` as the worker-group cap.
     pub pool: Option<EnginePool>,
-    /// Internal vertex layout (default [`VertexOrder::Identity`]): how the
-    /// session maps live vertices to dense indices. Purely a performance
-    /// knob — every observable is keyed on original ids, so results are
-    /// bit-identical for any value. See [`EngineConfig::with_order`].
-    pub order: VertexOrder,
 }
 
 impl Default for EngineConfig {
@@ -179,7 +171,6 @@ impl Default for EngineConfig {
             congest: CongestMode::Unlimited,
             frontier: true,
             pool: None,
-            order: VertexOrder::Identity,
         }
     }
 }
@@ -289,19 +280,6 @@ impl EngineConfig {
         self
     }
 
-    /// Chooses the internal vertex layout. [`VertexOrder::Locality`]
-    /// relabels live vertices into a seeded RCM-style cache-local order
-    /// (derived from `seed` and the view's adjacency), so shard spans
-    /// become graph neighborhoods instead of arbitrary id ranges. Purely a
-    /// performance knob: contexts, inboxes, RNG streams, fault keys, and
-    /// [`GraphView::scatter`] stay keyed on original ids, so a locality run
-    /// is bit-identical to an identity run at every shard count.
-    #[must_use]
-    pub fn with_order(mut self, order: VertexOrder) -> Self {
-        self.order = order;
-        self
-    }
-
     fn resolve_shards(&self, n: usize) -> usize {
         let requested = if self.shards == 0 {
             available_cpus()
@@ -379,9 +357,6 @@ pub struct EngineSession<'g, P: NodeProgram + 'static> {
     pool: WorkerPool<P>,
     programs: Vec<P>,
     ctxs: Vec<NodeCtx<'g>>,
-    /// Per-directed-edge sender ranks, built once from the view: the
-    /// routing epoch's counting-sort keys (see [`SenderRanks`]).
-    ranks: SenderRanks,
     mail: Mailboxes<P::Message>,
     metrics: EngineMetrics,
     ledger: RoundLedger,
@@ -433,7 +408,7 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         config: EngineConfig,
         mut factory: impl FnMut(&NodeCtx<'_>) -> P,
     ) -> Self {
-        let view = GraphView::with_order(graph, config.mask.as_ref(), config.order, config.seed);
+        let view = GraphView::new(graph, config.mask.as_ref());
         let live = view.live_count();
         let plan = ShardPlan::for_view(&view, config.resolve_shards(live));
         // A shared pool fixes the worker-group budget (its thread count);
@@ -455,9 +430,9 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
         let mut ctxs: Vec<NodeCtx<'g>> = (0..live)
             .map(|dv| {
                 let nbrs = view.neighbors(dv);
-                // SAFETY: for whole-graph identity views this slice already
-                // borrows the graph (`'g`). For masked and/or relabeled
-                // views it points into the view's flat materialized CSR
+                // SAFETY: for whole-graph views this slice already borrows
+                // the graph (`'g`). For masked views it points into the
+                // view's flat materialized CSR
                 // (`packed`), whose heap buffer is address-stable for the
                 // session's whole lifetime: the view moves into the session
                 // below, is never mutated, and `NodeCtx` values never
@@ -468,26 +443,14 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 NodeCtx::new(view.original(dv), graph.n(), nbrs, config.seed)
             })
             .collect();
-        // The factory contract is ascending *original* id order — under a
-        // relabeled layout that is not dense order, so visit via the
-        // view's ascending index.
-        let mut programs: Vec<P> = {
-            let mut slots: Vec<Option<P>> = (0..live).map(|_| None).collect();
-            for dv in view.ascending() {
-                slots[dv] = Some(factory(&ctxs[dv]));
-            }
-            slots
-                .into_iter()
-                .map(|p| p.expect("ascending() visits every live vertex"))
-                .collect()
-        };
-        let ranks = SenderRanks::build(&view);
+        // Dense order is ascending original-id order: the factory contract.
+        let mut programs: Vec<P> = ctxs.iter().map(&mut factory).collect();
 
         // Round 0: init every node and route the initial knowledge
         // exchange. Staging runs on the driver into the pool's group-0
         // arena (bucketed by destination group, like any round); routing
         // then runs as an ordinary worker-parallel epoch.
-        let mut mail = Mailboxes::new(live, bounds.clone());
+        let mut mail = Mailboxes::new(bounds.clone());
         let mut metrics = EngineMetrics::default();
         let counters = {
             let env = StageEnv {
@@ -495,7 +458,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
                 dense: view.dense_table(),
                 live: view.live(),
                 bounds: &bounds,
-                ranks: &ranks,
                 congest: config.congest.reject_budget(),
                 frontier: config.frontier,
             };
@@ -572,7 +534,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             pool,
             programs,
             ctxs,
-            ranks,
             mail,
             metrics,
             ledger: RoundLedger::new(),
@@ -652,11 +613,8 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
     /// the "synchronizer" seam multi-phase algorithms use to switch modes
     /// without spending communication rounds.
     pub fn for_each_program(&mut self, mut f: impl FnMut(VertexId, &mut P)) {
-        // Dense order is not ascending-original under a relabeled layout;
-        // the view's ascending index restores the documented order.
-        let view = &self.view;
-        for dv in view.ascending() {
-            f(view.original(dv), &mut self.programs[dv]);
+        for (dv, p) in self.programs.iter_mut().enumerate() {
+            f(self.view.original(dv), p);
         }
         // The hook may have rewritten any program's state: recount the halt
         // votes and re-register every activation hint. Queue entries the
@@ -794,7 +752,6 @@ impl<'g, P: NodeProgram + 'static> EngineSession<'g, P> {
             dense: self.view.dense_table(),
             live: self.view.live(),
             bounds: &self.bounds,
-            ranks: &self.ranks,
             congest: self.config.congest.reject_budget(),
             frontier: self.config.frontier,
         };

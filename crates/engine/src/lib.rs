@@ -36,12 +36,10 @@
 //!   combination replays the same run.
 //! * Determinism — per-node random streams are derived from
 //!   `(seed, node id)` only ([`node_rng`]), inboxes are delivered in
-//!   ascending original-sender order (enforced by a counting pass on
-//!   precomputed sender ranks — the routing epoch performs no comparison
-//!   sort), so randomized programs replay **bit-identically regardless of
-//!   shard count**. The internal vertex layout is itself a free variable:
-//!   [`EngineConfig::with_order`] ([`VertexOrder`]) relabels the dense
-//!   index space into a cache-local order without changing one observable.
+//!   ascending original-sender order (a by-product of stepping every
+//!   frontier in ascending order — fresh traffic is never sorted), so
+//!   randomized programs replay **bit-identically regardless of shard
+//!   count**.
 //! * [`FaultPlan`] — drop or delay a node's outbox at a chosen round, or
 //!   duplicate / lose individual messages with seeded per-edge rules
 //!   ([`FaultPlan::duplicate_edges`], [`FaultPlan::lose_edges`]), without
@@ -54,7 +52,7 @@
 //!   certifying completed phases CONGEST-safe; [`CongestMode::Split`]
 //!   ([`EngineConfig::congest_split`]) fragments wide messages into
 //!   budget-sized `(seq, total)` frames delivered over consecutive virtual
-//!   rounds and reassembled per edge, with the extra physical rounds
+//!   rounds and reassembled at the receiver, with the extra physical rounds
 //!   charged to the [`SPLIT_PHASE`] ledger phase and counted in
 //!   [`EngineMetrics`] (`physical_rounds`, `fragments`).
 //! * [`programs`] — ports of the repository's algorithms onto the engine,
@@ -120,7 +118,7 @@ pub use programs::{
     engine_randomized_list_coloring, engine_ruling_forest, layered_slot, layered_slots,
 };
 pub use shard::ShardPlan;
-pub use view::{GraphView, VertexOrder};
+pub use view::GraphView;
 
 /// Total worker threads spawned by engine pools since process start — the
 /// observable a pipeline test pins to prove pool *sharing* actually shares:

@@ -66,8 +66,8 @@ pub struct RoundMetrics {
     /// Wall-clock time of the whole routing epoch: everything between the
     /// compute epoch's close and the buffer flip — yield collection, split
     /// continuation scheduling, delayed-fault injection, the worker-parallel
-    /// counting passes (dest placement + sender-rank ordering), and inbox
-    /// finalization. A subset of [`wall`](RoundMetrics::wall); the
+    /// counting sort (plus the sender sort of spans hit by delayed traffic),
+    /// and inbox finalization. A subset of [`wall`](RoundMetrics::wall); the
     /// `bench_gate --max-route-frac` budget judges this number, so it must
     /// not under-count any epoch step.
     pub route_wall: Duration,

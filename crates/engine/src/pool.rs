@@ -26,29 +26,30 @@
 //!
 //! Each round is two epochs on the same reusable barrier pair:
 //!
-//! * **Compute epoch** — every worker group walks its dense vertex range,
-//!   calling `on_round` and staging outbound traffic in its own arena. The
-//!   arena is **bucketed by destination group**: a message for a vertex
-//!   owned by group `g` lands in bucket `g`, so the routing epoch can hand
-//!   each bucket to exactly one consumer without locks or cloning.
+//! * **Compute epoch** — every worker group steps its frontier (the nodes
+//!   with traffic or a due wake, or its whole dense range with frontier
+//!   gating off) in **ascending dense order**, calling `on_round` and
+//!   staging outbound traffic in its own arena. The arena is **bucketed by
+//!   destination group**: a message for a vertex owned by group `g` lands
+//!   in bucket `g`, so the routing epoch can hand each bucket to exactly
+//!   one consumer without locks or cloning.
 //! * **Routing epoch** — worker `g` rebuilds its group's `next` segment
-//!   with a **counting sort** over bucket `g` of *every* arena (in
-//!   ascending group order): count per receiver, prefix-sum into the span
-//!   table, place each message exactly once into the contiguous segment,
-//!   then put each span into delivery order with a second counting pass on
-//!   its precomputed sender ranks (`mailbox::sort_span_by_rank` — no
-//!   comparison sort anywhere in the epoch). Steady-state rounds
+//!   with a **counting sort** on the receiver over its pending-delayed
+//!   list and bucket `g` of *every* arena (in ascending group order):
+//!   count per receiver, prefix-sum into the span table, place each
+//!   message exactly once into the contiguous segment. Steady-state rounds
 //!   perform no per-message allocation — segments, spans, and the counting
 //!   scratch persist across rounds. Between the two epochs the driver does
 //!   the cheap global work: tallying fault counters, scheduling
 //!   fault-delayed batches, and injecting batches that come due.
 //!
-//! Determinism is untouched: for any inbox, messages arrive in (source
-//! group, staging order) order — exactly the order the old driver-side
-//! drain produced — and the final stable rank counting pass reproduces the
-//! historical stable sort by original sender id verbatim, making
-//! the delivered order a pure function of the traffic. Worker count and
-//! shard count remain pure performance knobs.
+//! Determinism: senders ascend within a group's stepping, groups ascend
+//! across arenas, and one sender's outbox is staged contiguously — so every
+//! receiver's fresh traffic is placed already sorted by original sender,
+//! with no sort and no per-edge key. Only spans that also received
+//! fault-delayed entries (placed first) get a stable sort by sender. The
+//! delivered order is therefore a pure function of the traffic; worker
+//! count and shard count remain pure performance knobs.
 //!
 //! * **Worker lifetime** — `workers - 1` OS threads are spawned when the
 //!   core boots (per session by default, once per pipeline with a shared
@@ -82,10 +83,10 @@ use graphs::VertexId;
 use crate::context::NodeCtx;
 use crate::faults::{FaultAction, FaultPlan};
 use crate::mailbox::{
-    finalize_inbox, sort_span_by_rank, GroupInboxes, Inboxes, RouteTally, RouteTargets, Routed,
+    finalize_inbox, GroupInboxes, InboxGroup, Inboxes, RouteGroup, RouteTally, RouteTargets,
+    Routed, TwoLevelBits,
 };
 use crate::program::{Activation, EngineMessage, NodeProgram, Outbox};
-use crate::view::SenderRanks;
 
 /// Global count of worker threads ever spawned by any [`PoolCore`] in this
 /// process — the observable that pins "pool sharing actually shares": a
@@ -103,9 +104,6 @@ pub(crate) struct StageEnv<'a> {
     pub(crate) dense: &'a [usize],
     /// Dense index → original id.
     pub(crate) live: &'a [VertexId],
-    /// Per-directed-edge sender ranks (see [`SenderRanks`]): staging
-    /// attaches each message's counting-sort key in O(1).
-    pub(crate) ranks: &'a SenderRanks,
     /// Dense group boundaries, ascending, `len = groups + 1`.
     pub(crate) bounds: &'a [usize],
     /// Per-message width budget (`usize::MAX` = no CONGEST mode).
@@ -186,6 +184,9 @@ pub(crate) struct ShardYield<M> {
     /// the driver into its per-group wake queues between epochs. Filled
     /// only when `env.frontier` is set.
     pub(crate) new_wakes: Vec<(usize, u64)>,
+    /// Scratch that merges the active and due lists into one ascending
+    /// frontier (group-relative indices); empty between rounds.
+    frontier: TwoLevelBits,
 }
 
 impl<M> ShardYield<M> {
@@ -205,6 +206,7 @@ impl<M> ShardYield<M> {
             newly_halted: 0,
             newly_unhalted: 0,
             new_wakes: Vec::new(),
+            frontier: TwoLevelBits::default(),
         }
     }
 
@@ -265,6 +267,11 @@ impl<M> ShardYield<M> {
 /// so gated runs replay bit-identically at any shard count; with the flag
 /// off, every node of the range is stepped — the historical full scan.
 ///
+/// Either way nodes are stepped in **ascending dense order** — the whole
+/// range, or the union of the two lists. Staging order is delivery order
+/// (see `mailbox`), so this is what hands every receiver its fresh traffic
+/// already sorted by sender.
+///
 /// Either path reports halt-vote *deltas* of the stepped nodes (an
 /// unstepped node's vote cannot change, so the driver's running halt
 /// count stays exact without an O(range) census); the frontier path also
@@ -303,19 +310,17 @@ pub(crate) fn run_range<P: NodeProgram>(
             };
             y.new_wakes.push((base + i, wake));
         };
-        for &dv in inboxes.active {
+        // The due list does not ascend and may overlap the active list:
+        // merge both through the bitmap, which enumerates the union
+        // ascending, each node once.
+        let mut frontier = std::mem::take(&mut y.frontier);
+        frontier.ensure(len);
+        for &dv in inboxes.active.iter().chain(due) {
             debug_assert!(dv >= base && dv - base < len);
-            step(dv - base, y);
+            frontier.set(dv - base);
         }
-        for &dv in due {
-            debug_assert!(dv >= base && dv - base < len);
-            // A due node with traffic was already stepped off the active
-            // list; the lists are otherwise disjoint (active holds exactly
-            // the non-empty inboxes) and internally duplicate-free.
-            if inboxes.inbox(dv - base).is_empty() {
-                step(dv - base, y);
-            }
-        }
+        frontier.drain(|i| step(i, y));
+        y.frontier = frontier;
     } else {
         for (i, (p, ctx)) in programs.iter_mut().zip(ctxs.iter_mut()).enumerate() {
             let was_halted = p.halted();
@@ -485,17 +490,10 @@ fn expand_into<M: EngineMessage>(
     env: &StageEnv<'_>,
     buckets: &mut [UnsafeCell<Vec<Routed<M>>>],
 ) -> usize {
-    let sv = env.dense[src];
-    debug_assert_ne!(sv, usize::MAX, "stepped senders are live");
-    // `i` is the destination's position in the sender's neighbor list —
-    // the coordinate [`SenderRanks`] is keyed on. Broadcasts get it for
-    // free from the loop; unicast/multi reuse the membership check's
-    // binary-search position, so attaching the rank costs O(1) either way.
-    let push = |dst: VertexId, i: usize, m: M, buckets: &mut [UnsafeCell<Vec<Routed<M>>>]| {
+    let push = |dst: VertexId, m: M, buckets: &mut [UnsafeCell<Vec<Routed<M>>>]| {
         let dv = env.dense[dst];
         debug_assert_ne!(dv, usize::MAX, "neighbors are live by construction");
-        let rank = env.ranks.rank(sv, i);
-        buckets[env.group_of(dv)].get_mut().push((dv, src, rank, m));
+        buckets[env.group_of(dv)].get_mut().push((dv, src, m));
     };
     match outbox {
         Outbox::Silent => 0,
@@ -504,27 +502,27 @@ fn expand_into<M: EngineMessage>(
                 return 0;
             }
             let width = m.width();
-            for (i, &dst) in neighbors.iter().enumerate() {
-                push(dst, i, m.clone(), buckets);
+            for &dst in neighbors {
+                push(dst, m.clone(), buckets);
             }
             width
         }
         Outbox::Unicast(dst, m) => {
-            let Ok(i) = neighbors.binary_search(&dst) else {
+            if neighbors.binary_search(&dst).is_err() {
                 panic!("node {src} unicast to non-neighbor {dst}")
-            };
+            }
             let width = m.width();
-            push(dst, i, m, buckets);
+            push(dst, m, buckets);
             width
         }
         Outbox::Multi(msgs) => {
             let mut width = 0;
             for (dst, m) in msgs {
-                let Ok(i) = neighbors.binary_search(&dst) else {
+                if neighbors.binary_search(&dst).is_err() {
                     panic!("node {src} sent to non-neighbor {dst}")
-                };
+                }
                 width = width.max(m.width());
-                push(dst, i, m, buckets);
+                push(dst, m, buckets);
             }
             width
         }
@@ -534,13 +532,17 @@ fn expand_into<M: EngineMessage>(
 /// The routing epoch's per-worker share: rebuild group `group`'s `next`
 /// segment with a counting sort over its pending-delayed list and bucket
 /// `group` of every arena (pending first, then ascending arena order —
-/// the determinism contract), put each span into delivery order with the
-/// rank counting pass (`mailbox::sort_span_by_rank` over the rank
-/// side-buffer filled during placement), then finalize it — fragmentation
-/// / reassembly in split mode and the optional adversarial reorder (see
-/// `mailbox::finalize_inbox`). Returns the range's [`RouteTally`] (frames
-/// produced, widest delivered message). No step compares two messages:
-/// the epoch is O(traffic + frontier).
+/// the determinism contract), give each span that received pending
+/// entries a stable sort by sender, then finalize every span —
+/// fragmentation / reassembly in split mode and the optional adversarial
+/// reorder (see `mailbox::finalize_inbox`). Returns the range's
+/// [`RouteTally`] (frames produced, widest delivered message).
+///
+/// Fresh traffic needs no sort: the compute epoch stepped its senders in
+/// ascending order, so each receiver's fresh entries arrive ascending by
+/// sender (see `mailbox`). Pending entries sit at the front of their
+/// spans, so only those spans are sorted — stably, which keeps a sender's
+/// late traffic ahead of its fresh traffic.
 ///
 /// The sort is **frontier-sparse**: every pass walks only the vertices
 /// that actually receive traffic this round, collected into the buffer's
@@ -555,12 +557,9 @@ fn expand_into<M: EngineMessage>(
 /// # Safety
 ///
 /// The caller must guarantee, for the duration of the call: bucket `group`
-/// of every arena is accessed by this caller alone; `t.segs.add(group)`,
-/// `t.active.add(group)`, and `t.pending.add(group)` are accessed by this
-/// caller alone; the per-vertex arrays behind `t.spans` / `t.counts` /
-/// `t.reasm` hold at least `range.end` entries, with the entries in
-/// `range` accessed by this caller alone. The epoch barrier protocol
-/// provides all of it.
+/// of every arena, `t.inboxes.add(group)` and `t.routes.add(group)` are
+/// accessed by this caller alone, and `range` is group `group`'s dense
+/// range. The epoch barrier protocol provides all of it.
 unsafe fn route_range<M: EngineMessage>(
     arenas: &[ArenaSlot<M>],
     group: usize,
@@ -569,18 +568,16 @@ unsafe fn route_range<M: EngineMessage>(
     env: &RouteEnv<'_>,
 ) -> RouteTally {
     let base = range.start;
-    // SAFETY: `range` is this worker's exclusive slice of the per-vertex
-    // arrays; segment, active list, pending list, and encode arena `group`
-    // are ours alone.
-    let counts = unsafe { std::slice::from_raw_parts_mut(t.counts.add(base), range.len()) };
-    let spans = unsafe { std::slice::from_raw_parts_mut(t.spans.add(base), range.len()) };
-    let active = unsafe { &mut *t.active.add(group) };
-    let pending = unsafe { &mut *t.pending.add(group) };
-    let seg = unsafe { &mut *t.segs.add(group) };
-    let scratch = unsafe { &mut *t.scratch.add(group) };
-    let rank_buf = unsafe { &mut *t.rank_bufs.add(group) };
-    let vbits = unsafe { &mut *t.vbits.add(group) };
-    let rank_scratch = unsafe { &mut *t.rank_scratch.add(group) };
+    // SAFETY: inbox group and routing state `group` are ours alone.
+    let InboxGroup { seg, spans, active } = unsafe { &mut *t.inboxes.add(group) };
+    let RouteGroup {
+        pending,
+        counts,
+        receivers,
+        late,
+        wire,
+    } = unsafe { &mut *t.routes.add(group) };
+    debug_assert_eq!(spans.len(), range.len());
 
     // Reset exactly the spans this buffer's previous routing left
     // non-empty — its active list. Every other span of the range is
@@ -594,12 +591,17 @@ unsafe fn route_range<M: EngineMessage>(
 
     // Counting pass: pending-delayed traffic plus every arena's bucket,
     // marking each receiver in the group's two-level bitmap. `counts` is
-    // all-zeros on entry (each routing re-zeroes what it touched).
-    vbits.ensure(range.len());
-    for &(dv, _, _, _) in pending.iter() {
+    // all-zeros on entry (each routing re-zeroes what it touched), so a
+    // receiver's first pending entry is the one that finds it at zero.
+    receivers.ensure(range.len());
+    for &(dv, _, _) in pending.iter() {
         debug_assert!(range.contains(&dv), "pending {group} holds only our range");
-        counts[dv - base] += 1;
-        vbits.set(dv - base);
+        let c = &mut counts[dv - base];
+        if *c == 0 {
+            late.push(dv);
+        }
+        *c += 1;
+        receivers.set(dv - base);
     }
     for arena in arenas {
         // SAFETY: shared view of the arena; bucket `group` is ours alone.
@@ -607,21 +609,18 @@ unsafe fn route_range<M: EngineMessage>(
         for r in bucket.iter() {
             debug_assert!(range.contains(&r.0), "bucket {group} holds only our range");
             counts[r.0 - base] += 1;
-            vbits.set(r.0 - base);
+            receivers.set(r.0 - base);
         }
     }
-    if !vbits.any() {
+    if !receivers.any() {
         // A quiet group: nothing to place, and the stale spans are already
         // reset — the whole epoch cost O(previous frontier).
         seg.clear();
         return RouteTally::default();
     }
-    // The compute epoch walks the list in order; staging order feeds the
-    // delivery contract, so the index must ascend like a full scan would.
     // Draining the bitmap enumerates the receivers ascending in
-    // O(frontier + range/4096) — the comparison-free twin of the old
-    // push-on-first-sighting + `sort_unstable`.
-    vbits.drain(|i| active.push(base + i));
+    // O(frontier + range/4096), without sorting.
+    receivers.drain(|i| active.push(base + i));
 
     // Prefix-sum the active counts into spans; the counts become
     // placement cursors.
@@ -634,27 +633,16 @@ unsafe fn route_range<M: EngineMessage>(
     }
 
     // Placement pass, same source order as the counting pass: pending
-    // first (so delayed batches precede fresh same-sender traffic after
-    // the stable rank pass), then the arenas in ascending order. Each
-    // message's sender rank lands in the side-buffer at the same cursor
-    // its payload takes, giving the rank pass contiguous keys per span.
+    // first, then the arenas in ascending order.
     seg.clear();
     seg.reserve(total);
-    if rank_buf.len() < total {
-        rank_buf.resize(total, 0);
-    }
     let out = seg.as_mut_ptr();
-    let rank_out = rank_buf.as_mut_ptr();
     {
-        let mut place = |(dv, src, rank, m): Routed<M>| {
+        let mut place = |(dv, src, m): Routed<M>| {
             let cursor = &mut counts[dv - base];
-            // SAFETY: cursor < total ≤ capacity (and ≤ rank_buf.len()), and
-            // both passes see the same messages, so every slot is written
-            // exactly once.
-            unsafe {
-                out.add(*cursor).write((src, m));
-                rank_out.add(*cursor).write(rank);
-            }
+            // SAFETY: cursor < total ≤ capacity, and both passes see the
+            // same messages, so every slot is written exactly once.
+            unsafe { out.add(*cursor).write((src, m)) };
             *cursor += 1;
         };
         for r in pending.drain(..) {
@@ -671,27 +659,24 @@ unsafe fn route_range<M: EngineMessage>(
     // SAFETY: exactly `total` slots were initialized above.
     unsafe { seg.set_len(total) };
 
-    // Rank-sort and finalize only the active spans — there are no other
-    // non-empty ones — and restore the all-zeros counting-scratch
-    // invariant as we go.
+    // Late spans: pending entries ahead of already sorted fresh traffic.
+    for dv in late.drain(..) {
+        let (start, len) = spans[dv - base];
+        seg[start..start + len].sort_by_key(|&(src, _)| src);
+    }
+
+    // Finalize only the active spans — there are no other non-empty ones —
+    // and restore the all-zeros counting-scratch invariant as we go.
     let mut tally = RouteTally::default();
     for &dv in active.iter() {
         let (start, len) = spans[dv - base];
         counts[dv - base] = 0;
-        sort_span_by_rank(
-            &mut seg[start..start + len],
-            &rank_buf[start..start + len],
-            rank_scratch,
+        let inbox = &mut seg[start..start + len];
+        debug_assert!(
+            inbox.windows(2).all(|w| w[0].0 <= w[1].0),
+            "inbox of dense vertex {dv} must arrive sorted by sender"
         );
-        // SAFETY: the range's reassembly buffers are ours alone.
-        let buffers = unsafe { &mut *t.reasm.add(dv) };
-        tally.absorb(finalize_inbox(
-            &mut seg[start..start + len],
-            buffers,
-            env.live[dv],
-            env,
-            scratch,
-        ));
+        tally.absorb(finalize_inbox(inbox, env.live[dv], env, wire));
     }
     tally
 }
@@ -1017,7 +1002,7 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
             run_range(
                 progs,
                 ctxs,
-                inboxes.group(g, range.clone()),
+                inboxes.group(g),
                 &due[g],
                 range.start,
                 round,
@@ -1030,10 +1015,10 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
 
     /// Runs one **routing epoch**: worker `g` rebuilds group `g`'s `next`
     /// segment from bucket `g` of every arena plus its pending-delayed
-    /// list, and finalizes every span of `ranges[g]` (split / sort /
-    /// reorder; group 0 on the calling thread). `targets` must come from
-    /// the session's [`Mailboxes::next_targets`]; `ranges` must match the
-    /// compute epoch's. Returns the epoch's [`RouteTally`].
+    /// list, and finalizes every span of `ranges[g]` (late-span sort /
+    /// split / reorder; group 0 on the calling thread). `targets` must
+    /// come from the session's [`Mailboxes::next_targets`]; `ranges` must
+    /// match the compute epoch's. Returns the epoch's [`RouteTally`].
     pub(crate) fn route(
         &mut self,
         targets: RouteTargets<P::Message>,
@@ -1045,9 +1030,9 @@ impl<P: NodeProgram + 'static> WorkerPool<P> {
         let tallies = &self.tallies;
         let job = move |g: usize| {
             let Some(range) = ranges.get(g) else { return };
-            // SAFETY: bucket `g` of every arena, segment/pending/scratch
-            // slot `g`, and the span/count/reassembly entries of `range`
-            // belong exclusively to group `g` during a routing epoch;
+            // SAFETY: bucket `g` of every arena and inbox/routing-state
+            // slot `g` belong exclusively to group `g` during a routing
+            // epoch;
             // tally slot `g` likewise.
             let tally = unsafe { route_range(arenas, g, targets, range.clone(), env) };
             unsafe { *tallies[g].0.get() = tally };
@@ -1105,17 +1090,9 @@ mod tests {
         }
     }
 
-    /// An identity env over `n` vertices in one group, no faults. The
-    /// `by_src` rank table makes every staged rank the sender's dense
-    /// index — under identity tables, rank == original sender id, so
-    /// expected tuples read directly.
-    fn identity_tables(n: usize) -> (Vec<usize>, Vec<VertexId>, Vec<usize>, SenderRanks) {
-        (
-            (0..n).collect(),
-            (0..n).collect(),
-            vec![0, n],
-            SenderRanks::by_src(n),
-        )
+    /// An identity env over `n` vertices in one group, no faults.
+    fn identity_tables(n: usize) -> (Vec<usize>, Vec<VertexId>, Vec<usize>) {
+        ((0..n).collect(), (0..n).collect(), vec![0, n])
     }
 
     fn env<'a>(
@@ -1123,14 +1100,12 @@ mod tests {
         dense: &'a [usize],
         live: &'a [VertexId],
         bounds: &'a [usize],
-        ranks: &'a SenderRanks,
     ) -> StageEnv<'a> {
         StageEnv {
             faults,
             dense,
             live,
             bounds,
-            ranks,
             congest: usize::MAX,
             frontier: true,
         }
@@ -1140,14 +1115,14 @@ mod tests {
     fn expand_into_appends_and_reports_width() {
         let neighbors = [1usize, 3, 5];
         let faults = FaultPlan::new();
-        let (dense, live, bounds, ranks) = identity_tables(6);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (dense, live, bounds) = identity_tables(6);
+        let e = env(&faults, &dense, &live, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(2)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 2);
         assert_eq!(
             y.bucket_mut(0),
-            &vec![(1, 0, 0, W(2)), (3, 0, 0, W(2)), (5, 0, 0, W(2))]
+            &vec![(1, 0, W(2)), (3, 0, W(2)), (5, 0, W(2))]
         );
         stage_outbox(0, Outbox::Unicast(3, W(7)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.max_width, 7);
@@ -1164,13 +1139,13 @@ mod tests {
         // messages to {4, 5} in bucket 1.
         let neighbors = [1usize, 2, 4, 5];
         let faults = FaultPlan::new();
-        let (dense, live, _, ranks) = identity_tables(6);
+        let (dense, live, _) = identity_tables(6);
         let bounds = vec![0, 3, 6];
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let e = env(&faults, &dense, &live, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(2);
         stage_outbox(3, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
-        assert_eq!(y.bucket_mut(0), &vec![(1, 3, 3, W(1)), (2, 3, 3, W(1))]);
-        assert_eq!(y.bucket_mut(1), &vec![(4, 3, 3, W(1)), (5, 3, 3, W(1))]);
+        assert_eq!(y.bucket_mut(0), &vec![(1, 3, W(1)), (2, 3, W(1))]);
+        assert_eq!(y.bucket_mut(1), &vec![(4, 3, W(1)), (5, 3, W(1))]);
         assert_eq!(y.messages, 4);
     }
 
@@ -1178,8 +1153,8 @@ mod tests {
     fn stage_outbox_applies_faults_in_place() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().drop_outbox(0, 5).delay_outbox(0, 6, 2);
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (dense, live, bounds) = identity_tables(3);
+        let e = env(&faults, &dense, &live, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 4, &e, &mut y);
         assert_eq!((y.messages, y.bucket_mut(0).len()), (2, 2), "delivered");
@@ -1198,20 +1173,15 @@ mod tests {
     fn duplication_appends_after_the_batch_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().duplicate_edges(3, 1.0);
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (dense, live, bounds) = identity_tables(3);
+        let e = env(&faults, &dense, &live, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "originals only");
         assert_eq!(y.duplicated, 2, "probability 1.0 duplicates both");
         assert_eq!(
             y.bucket_mut(0),
-            &vec![
-                (1, 0, 0, W(1)),
-                (2, 0, 0, W(1)),
-                (1, 0, 0, W(1)),
-                (2, 0, 0, W(1))
-            ]
+            &vec![(1, 0, W(1)), (2, 0, W(1)), (1, 0, W(1)), (2, 0, W(1))]
         );
     }
 
@@ -1219,8 +1189,8 @@ mod tests {
     fn loss_removes_in_place_and_counts() {
         let neighbors = [1usize, 2];
         let faults = FaultPlan::new().lose_edges(3, 1.0);
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (dense, live, bounds) = identity_tables(3);
+        let e = env(&faults, &dense, &live, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
         assert_eq!(y.messages, 2, "loss does not change the sent count");
@@ -1233,11 +1203,11 @@ mod tests {
         // Find a (seed, round) where exactly one of the two messages is
         // lost, and check the survivor stays, in place.
         let neighbors = [1usize, 2, 3];
-        let (dense, live, bounds, ranks) = identity_tables(4);
+        let (dense, live, bounds) = identity_tables(4);
         let mut found = false;
         for seed in 0..64u64 {
             let faults = FaultPlan::new().lose_edges(seed, 0.5);
-            let e = env(&faults, &dense, &live, &bounds, &ranks);
+            let e = env(&faults, &dense, &live, &bounds);
             let mut y: ShardYield<W> = ShardYield::with_groups(1);
             stage_outbox(0, Outbox::Broadcast(W(1)), &neighbors, 1, &e, &mut y);
             if y.lost == 1 {
@@ -1255,8 +1225,8 @@ mod tests {
     #[should_panic(expected = "CONGEST violation")]
     fn congest_budget_rejects_wide_messages() {
         let faults = FaultPlan::new();
-        let (dense, live, bounds, ranks) = identity_tables(3);
-        let mut e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (dense, live, bounds) = identity_tables(3);
+        let mut e = env(&faults, &dense, &live, &bounds);
         e.congest = 4;
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(4)), &[1], 1, &e, &mut y);
@@ -1267,8 +1237,8 @@ mod tests {
     #[test]
     fn arena_reset_keeps_capacity() {
         let faults = FaultPlan::new();
-        let (dense, live, bounds, ranks) = identity_tables(5);
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let (dense, live, bounds) = identity_tables(5);
+        let e = env(&faults, &dense, &live, &bounds);
         let mut y: ShardYield<W> = ShardYield::with_groups(1);
         stage_outbox(0, Outbox::Broadcast(W(1)), &[1, 2, 3, 4], 1, &e, &mut y);
         let cap = y.bucket_mut(0).capacity();
@@ -1294,15 +1264,16 @@ mod tests {
     fn routing_epoch_counting_sort_matches_contract() {
         use crate::mailbox::Mailboxes;
         // Three vertices in one group; traffic from two arenas plus a
-        // delayed batch due this round. Per inbox the pre-sort order is
-        // pending first, then arena order × staging order; the stable
-        // rank counting pass then fixes the delivered order.
-        let mut mail: Mailboxes<W> = Mailboxes::new(3, vec![0, 3]);
-        mail.schedule(2, vec![(0, 2, 2, W(9))]);
+        // delayed batch due this round. Arena 0 holds sender 0 (a Multi
+        // outbox repeating receiver 0), arena 1 senders 1 and 2, as
+        // ascending stepping stages them; inbox 0's late entry from sender
+        // 2 is placed first and sorted behind the fresh traffic.
+        let mut mail: Mailboxes<W> = Mailboxes::new(vec![0, 3]);
+        mail.schedule(2, vec![(0, 2, W(9))]);
         mail.inject_due(2);
         let arenas = [
-            mk(vec![(0, 1, 1, W(1)), (2, 0, 0, W(2)), (0, 0, 0, W(3))]),
-            mk(vec![(1, 2, 2, W(4)), (0, 0, 0, W(5))]),
+            mk(vec![(0, 0, W(3)), (2, 0, W(2)), (0, 0, W(5))]),
+            mk(vec![(0, 1, W(1)), (1, 2, W(4))]),
         ];
         let live = [0usize, 1, 2];
         let env = RouteEnv {
@@ -1316,7 +1287,6 @@ mod tests {
         let tally = unsafe { route_range(&arenas, 0, mail.next_targets(), 0..3, &env) };
         assert_eq!(tally.fragments, 0);
         mail.flip();
-        // Inbox 0 pre-sort: (2, 9) pending, then (1, 1), (0, 3), (0, 5).
         assert_eq!(mail.inbox(0), &[(0, W(3)), (0, W(5)), (1, W(1)), (2, W(9))]);
         assert_eq!(mail.inbox(1), &[(2, W(4))]);
         assert_eq!(mail.inbox(2), &[(0, W(2))]);
@@ -1330,16 +1300,23 @@ mod tests {
     }
 
     #[test]
-    fn delayed_batch_precedes_fresh_same_sender_under_rank_routing() {
+    fn delayed_batch_precedes_fresh_same_sender() {
         use crate::mailbox::Mailboxes;
-        // The rank band pins the contract: a delay-fault batch from sender
-        // 1 due this round must land *ahead of* fresh round traffic from
-        // the same sender 1 (equal rank, pending placed first), while a
-        // lower-rank fresh sender still sorts ahead of both.
-        let mut mail: Mailboxes<W> = Mailboxes::new(2, vec![0, 2]);
-        mail.schedule(5, vec![(0, 1, 1, W(7))]);
+        // Late entries from senders 2 and 1 (in that order) are due with
+        // fresh traffic from senders 0, 1 and 2: the stable sender sort of
+        // the late span puts each sender's delayed message ahead of its
+        // fresh one, and a lower sender still ahead of both. Inbox 1 has no
+        // late entry and keeps its placed order.
+        let mut mail: Mailboxes<W> = Mailboxes::new(vec![0, 2]);
+        mail.schedule(5, vec![(0, 2, W(7)), (0, 1, W(3))]);
         mail.inject_due(5);
-        let arenas = [mk(vec![(0, 1, 1, W(8)), (0, 0, 0, W(6))])];
+        let arenas = [mk(vec![
+            (0, 0, W(6)),
+            (1, 0, W(1)),
+            (0, 1, W(8)),
+            (0, 2, W(9)),
+            (1, 2, W(2)),
+        ])];
         let live = [0usize, 1];
         let env = RouteEnv {
             split: usize::MAX,
@@ -1351,15 +1328,97 @@ mod tests {
         // mailbox entry.
         let _ = unsafe { route_range(&arenas, 0, mail.next_targets(), 0..2, &env) };
         mail.flip();
-        assert_eq!(mail.inbox(0), &[(0, W(6)), (1, W(7)), (1, W(8))]);
+        assert_eq!(
+            mail.inbox(0),
+            &[(0, W(6)), (1, W(3)), (1, W(8)), (2, W(7)), (2, W(9))]
+        );
+        assert_eq!(mail.inbox(1), &[(0, W(1)), (2, W(2))]);
+    }
+
+    #[test]
+    fn routing_matches_the_comparison_sort_spec() {
+        use crate::mailbox::Mailboxes;
+        // Seeded rounds over two groups: senders staged in ascending order
+        // (as the compute epoch steps them), Multi outboxes repeating
+        // receivers, plus delayed batches in arbitrary sender order.
+        // `route_range` must deliver exactly what the comparison-sort spec
+        // (`Mailboxes::route_serial`) delivers; unique payloads make
+        // stability observable.
+        let mut state = 0x9e37_79b9u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let (n, cut) = (12usize, 5usize);
+        let bounds = vec![0, cut, n];
+        let group = |v: usize| usize::from(v >= cut);
+        let live: Vec<usize> = (0..n).collect();
+        let env = RouteEnv {
+            split: usize::MAX,
+            round: 1,
+            reorder: None,
+            live: &live,
+        };
+        for _ in 0..50 {
+            let mut tag = 0;
+            let mut prod: Mailboxes<W> = Mailboxes::new(bounds.clone());
+            let mut spec: Mailboxes<W> = Mailboxes::new(bounds.clone());
+            let late: Vec<Routed<W>> = (0..next(8))
+                .map(|_| {
+                    tag += 1;
+                    (next(n), next(n), W(tag))
+                })
+                .collect();
+            for mail in [&mut prod, &mut spec] {
+                mail.schedule(1, late.clone());
+                mail.inject_due(1);
+            }
+            let arenas: Vec<ArenaSlot<W>> = (0..2)
+                .map(|_| ArenaSlot(UnsafeCell::new(ShardYield::with_groups(2))))
+                .collect();
+            let mut staged = Vec::new();
+            for src in 0..n {
+                for _ in 0..next(4) {
+                    let dst = next(n);
+                    for _ in 0..1 + next(2) {
+                        tag += 1;
+                        staged.push((dst, src, W(tag)));
+                        // SAFETY: single-threaded test — sole accessor.
+                        let y = unsafe { &mut *arenas[group(src)].0.get() };
+                        y.bucket_mut(group(dst)).push((dst, src, W(tag)));
+                    }
+                }
+            }
+            for g in 0..2 {
+                // SAFETY: single-threaded test — sole accessor of every
+                // bucket and mailbox entry.
+                let _ = unsafe {
+                    route_range(
+                        &arenas,
+                        g,
+                        prod.next_targets(),
+                        bounds[g]..bounds[g + 1],
+                        &env,
+                    )
+                };
+            }
+            spec.route_serial(staged, &env);
+            prod.flip();
+            spec.flip();
+            for dv in 0..n {
+                assert_eq!(prod.inbox(dv), spec.inbox(dv), "inbox {dv}");
+            }
+        }
     }
 
     #[test]
     fn group_of_respects_bounds() {
         let faults = FaultPlan::new();
-        let (dense, live, _, ranks) = identity_tables(10);
+        let (dense, live, _) = identity_tables(10);
         let bounds = vec![0, 4, 7, 10];
-        let e = env(&faults, &dense, &live, &bounds, &ranks);
+        let e = env(&faults, &dense, &live, &bounds);
         let groups: Vec<usize> = (0..10).map(|dv| e.group_of(dv)).collect();
         assert_eq!(groups, vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
     }

@@ -130,7 +130,6 @@ fn engine_config(spec: &TrialSpec, n: usize) -> EngineConfig {
         .with_workers(spec.workers.resolve(spec.shards))
         .with_congest(spec.congest.to_mode())
         .with_frontier(spec.frontier)
-        .with_order(spec.order.to_order())
         .with_faults(spec.faults.plan(n))
 }
 
@@ -399,7 +398,6 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
         engine_congest: spec.congest.to_mode(),
         engine_faults: spec.faults.plan(g.n()),
         engine_frontier: spec.frontier,
-        engine_order: spec.order.to_order(),
         ..Default::default()
     };
     match list_color_sparse(g, &lists, d, config) {
@@ -456,7 +454,7 @@ fn run_theorem13(spec: &TrialSpec, g: &Graph) -> TrialOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{CongestSpec, FaultSpec, OrderSpec, Params, WorkerSpec};
+    use crate::schema::{CongestSpec, FaultSpec, Params, WorkerSpec};
 
     fn spec(algorithm: &str, shards: usize) -> TrialSpec {
         TrialSpec {
@@ -470,7 +468,6 @@ mod tests {
             workers: WorkerSpec::MatchShards,
             congest: CongestSpec::Unlimited,
             faults: FaultSpec::default(),
-            order: OrderSpec::Identity,
             frontier: true,
             rep: 0,
             params: Params::default(),
@@ -520,28 +517,6 @@ mod tests {
                 "{alg}: ledger-identical"
             );
             assert!(one.metrics.is_some());
-        }
-    }
-
-    #[test]
-    fn locality_order_replays_identity_everywhere() {
-        for alg in names() {
-            let g = match alg {
-                "randomized" => graphs::gen::random_regular(40, 4, 7),
-                "theorem13" => graphs::gen::apollonian(40, 7),
-                "h-partition" => graphs::gen::forest_union(40, 2, 7),
-                _ => graphs::gen::grid(6, 6),
-            };
-            let identity = run(&spec(alg, 2), &g);
-            let mut local_spec = spec(alg, 2);
-            local_spec.order = OrderSpec::Locality;
-            let local = run(&local_spec, &g);
-            assert!(local.valid, "{alg} locality: {:?}", local.invalid_reason);
-            assert_eq!(
-                local.output_hash, identity.output_hash,
-                "{alg}: the relabeled layout must replay bit for bit"
-            );
-            assert_eq!(local.ledger_rounds, identity.ledger_rounds, "{alg}");
         }
     }
 

@@ -30,14 +30,14 @@
 //! ```
 //!
 //! Every scenario field that spans a *matrix axis* (`family`, `n`, `seed`,
-//! `algorithm`, `shards`, `workers`, `congest`, `faults`, `order`) accepts
+//! `algorithm`, `shards`, `workers`, `congest`, `faults`) accepts
 //! either a scalar or an array; the trial plan is the cross-product of all
 //! axes times `reps` (see [`crate::plan`]). `shards: 0` declares the
 //! sequential baseline row. Checks are *data about the artifact*: the runner records
 //! every trial as a JSON row and [`crate::invariants`] evaluates the
 //! declared checks over those rows — the gates are wrappers around this.
 
-use engine::{CongestMode, FaultPlan, VertexOrder};
+use engine::{CongestMode, FaultPlan};
 use rand::mix64;
 
 use crate::json::{self, Value};
@@ -76,12 +76,6 @@ pub struct Scenario {
     pub congest: Vec<CongestSpec>,
     /// Fault-plan axis (defaults to `[none]`).
     pub faults: Vec<FaultSpec>,
-    /// Vertex-order axis (defaults to `[identity]`). An axis rather than a
-    /// flag — unlike `frontier` — because order is the knob the
-    /// determinism check should diff automatically: it never enters the
-    /// configuration key, so declaring `["identity", "locality"]` makes
-    /// every relabeled trial a bit-identity twin of its identity sibling.
-    pub order: Vec<OrderSpec>,
     /// Frontier-sparse rounds for every engine trial (`true` by default).
     /// `false` pins the scenario to the historical full-range scan — the
     /// twin scenarios the bench suite uses to keep the frontier index
@@ -184,49 +178,6 @@ impl CongestSpec {
         match self {
             CongestSpec::Split(w) => Some(w),
             _ => None,
-        }
-    }
-}
-
-/// Vertex-storage order for one trial's engine sessions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrderSpec {
-    /// Original vertex ids (the historical layout).
-    #[default]
-    Identity,
-    /// Seeded bandwidth-minimizing relabeling of each shard's local
-    /// storage; observables stay on original ids, so outputs are
-    /// bit-identical to [`OrderSpec::Identity`].
-    Locality,
-}
-
-impl OrderSpec {
-    /// The engine order this spec declares.
-    pub fn to_order(self) -> VertexOrder {
-        match self {
-            OrderSpec::Identity => VertexOrder::Identity,
-            OrderSpec::Locality => VertexOrder::Locality,
-        }
-    }
-
-    /// Stable label (`identity`, `locality`) for rows and grouping —
-    /// parses back via [`OrderSpec::parse`]. `bench_trend` matches lab
-    /// summary groups to committed bench rows on exactly these strings.
-    pub fn label(self) -> &'static str {
-        match self {
-            OrderSpec::Identity => "identity",
-            OrderSpec::Locality => "locality",
-        }
-    }
-
-    /// Parses a label.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "identity" => Ok(OrderSpec::Identity),
-            "locality" => Ok(OrderSpec::Locality),
-            other => Err(format!(
-                "unknown order spec {other:?} (want identity | locality)"
-            )),
         }
     }
 }
@@ -546,6 +497,27 @@ fn axis<T>(
 fn parse_scenario(v: &Value) -> Result<Scenario, String> {
     let name = req_str(v, "name")?;
     let err = |e: String| format!("scenario {name:?}: {e}");
+    // Reject unknown keys: a typo'd or retired axis must not silently run
+    // the default.
+    for (key, _) in v.as_obj().ok_or_else(|| err("expected an object".into()))? {
+        if !matches!(
+            key.as_str(),
+            "name"
+                | "family"
+                | "n"
+                | "seed"
+                | "algorithm"
+                | "shards"
+                | "workers"
+                | "congest"
+                | "faults"
+                | "frontier"
+                | "reps"
+                | "params"
+        ) {
+            return Err(err(format!("unknown scenario key {key:?}")));
+        }
+    }
     let usize_item = |item: &Value| {
         item.as_usize()
             .ok_or("expected a non-negative integer".into())
@@ -595,10 +567,6 @@ fn parse_scenario(v: &Value) -> Result<Scenario, String> {
         })?
         .unwrap_or_else(|| vec![CongestSpec::Unlimited]),
         faults: axis(v, "faults", parse_fault)?.unwrap_or_else(|| vec![FaultSpec::default()]),
-        order: axis(v, "order", |item| {
-            OrderSpec::parse(item.as_str().ok_or("expected an order string")?)
-        })?
-        .unwrap_or_else(|| vec![OrderSpec::Identity]),
         frontier: match v.get("frontier") {
             None => true,
             Some(b) => b
@@ -805,7 +773,6 @@ mod tests {
         assert_eq!(s.workers, vec![WorkerSpec::Auto]);
         assert_eq!(s.congest, vec![CongestSpec::Unlimited]);
         assert_eq!(s.faults, vec![FaultSpec::default()]);
-        assert_eq!(s.order, vec![OrderSpec::Identity]);
         assert_eq!(s.reps, 1);
         assert!(suite.checks.is_empty());
     }
@@ -819,7 +786,6 @@ mod tests {
                 "workers": ["auto", "shards", 4],
                 "congest": ["unlimited", "split:4", "reject:2"],
                 "faults": ["none", {"lose": {"seed": 3, "p": 0.1}}],
-                "order": ["identity", "locality"],
                 "reps": 3
             }]}"#,
         )
@@ -844,21 +810,20 @@ mod tests {
             ]
         );
         assert_eq!(s.faults[1].lose, Some((3, 0.1)));
-        assert_eq!(s.order, vec![OrderSpec::Identity, OrderSpec::Locality]);
         assert_eq!(s.reps, 3);
     }
 
     #[test]
-    fn order_specs_round_trip_and_reject_typos() {
-        for spec in [OrderSpec::Identity, OrderSpec::Locality] {
-            assert_eq!(OrderSpec::parse(spec.label()).unwrap(), spec);
-        }
-        assert!(OrderSpec::parse("local").is_err());
+    fn scenarios_reject_unknown_keys() {
+        // The retired vertex-order axis is rejected like any typo.
         let bad = MINIMAL.replace(
             "\"algorithm\": \"gather\"",
-            "\"algorithm\": \"gather\", \"order\": \"rcm\"",
+            "\"algorithm\": \"gather\", \"order\": [\"identity\", \"locality\"]",
         );
-        assert!(Suite::from_json(&bad).unwrap_err().contains("order"));
+        let e = Suite::from_json(&bad).unwrap_err();
+        assert!(e.contains("unknown scenario key \"order\""), "{e}");
+        let typo = MINIMAL.replace("\"n\": 64", "\"n\": 64, \"shard\": 2");
+        assert!(Suite::from_json(&typo).unwrap_err().contains("\"shard\""));
     }
 
     #[test]
